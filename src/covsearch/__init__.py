@@ -43,6 +43,7 @@ from .inference import (
     ScheduleConfig,
     TraceState,
     averaged_prediction,
+    averaged_predictions,
     drop_burn_in,
     gradient_step_hypers,
     hyper_gradients,
@@ -93,6 +94,7 @@ __all__ = [
     "airline_dataset",
     "ast_log_prior",
     "averaged_prediction",
+    "averaged_predictions",
     "blr_baseline",
     "build_cov_matrix",
     "canonical_partition",

@@ -2,7 +2,8 @@
 
 Subcommands: fit, predict, cluster, compare-inference, synth-data.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
-failure.
+failure. Each task runs BLAS on one thread unless OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS or OMP_NUM_THREADS is set (see `blas.py`).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import blr_baseline
+from .blas import single_blas_thread
 from .clustering import run_cluster_schedule
 from .config import RunConfig, load_config, with_chains, with_seed, with_task
 from .data import (
@@ -28,7 +30,7 @@ from .data import (
 from .errors import ConfigError, DataError, NumericError, StructureError
 from .gp import Dataset, predict
 from .inference import (
-    averaged_prediction,
+    averaged_predictions,
     drop_burn_in,
     gradient_supported,
     map_structure,
@@ -139,10 +141,20 @@ def _run_fit_predict(args, cfg: RunConfig) -> None:
     map_label = map_structure(kept)
 
     grid = np.linspace(float(np.min(full.xs)), float(np.max(full.xs)), cfg.probe_count)
-    avg = averaged_prediction(kept, train, grid, cfg.noise_var, noisy=False)
-    map_avg = averaged_prediction(
-        kept, train, grid, cfg.noise_var, noisy=False, label=map_label
+    probes = [(grid, False)]
+    if len(held) > 0:
+        probes.append((held.xs, True))
+    groups = [
+        range(len(kept)),
+        [i for i, sample in enumerate(kept) if sample.label == map_label],
+    ]
+    if cfg.emit_sample_curves:
+        step = max(1, len(kept) // cfg.emit_sample_curves)
+        groups += [[i] for i in range(0, len(kept), step)][: cfg.emit_sample_curves]
+    everything, on_map, *curves = averaged_predictions(
+        kept, train, probes, groups, cfg.noise_var
     )
+    avg, map_avg = everything[0], on_map[0]
     blr = blr_baseline(train, grid)
 
     grid_out = grid if transform is None else transform.x_back(grid)
@@ -157,17 +169,9 @@ def _run_fit_predict(args, cfg: RunConfig) -> None:
         "blr_mean": blr_mean,
         "blr_std": blr_std,
     }
-    if cfg.emit_sample_curves:
-        chosen = kept[:: max(1, len(kept) // cfg.emit_sample_curves)]
-        chosen = chosen[: cfg.emit_sample_curves]
-        for i, sample in enumerate(chosen):
-            curve = averaged_prediction(
-                [sample], train, grid, cfg.noise_var, noisy=False
-            )
-            mean_i, _ = _destandardized(
-                transform, curve.mean, np.sqrt(curve.variance)
-            )
-            predictions[f"sample_{i}"] = mean_i
+    for i, curve in enumerate(row[0] for row in curves):
+        mean_i, _ = _destandardized(transform, curve.mean, np.sqrt(curve.variance))
+        predictions[f"sample_{i}"] = mean_i
 
     metrics: dict = {
         "task": cfg.task,
@@ -178,10 +182,7 @@ def _run_fit_predict(args, cfg: RunConfig) -> None:
         "standardization": None if transform is None else transform.to_dict(),
     }
     if len(held) > 0:
-        avg_h = averaged_prediction(kept, train, held.xs, cfg.noise_var, noisy=True)
-        map_h = averaged_prediction(
-            kept, train, held.xs, cfg.noise_var, noisy=True, label=map_label
-        )
+        avg_h, map_h = everything[1], on_map[1]
         blr_h = blr_baseline(train, held.xs)
         truth = held.ys if transform is None else transform.y_back(held.ys)
         avg_mean, _ = _destandardized(transform, avg_h.mean, np.sqrt(avg_h.variance))
@@ -345,7 +346,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_run_config(args)
-        args.runner(args, cfg)
+        with single_blas_thread():
+            args.runner(args, cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

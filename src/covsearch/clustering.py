@@ -161,20 +161,20 @@ def reassign_series_step(state: ClusterState, index: int) -> ClusterState:
         fresh_ast = state.cluster_asts[current]
     else:
         fresh_ast = sample_ast(state.prior, state.rng)
-    candidates: list[tuple[int | None, float]] = []
+    candidates: list[tuple[int | None, float, float]] = []
     for cid, size in sorted(sizes.items()):
         ll = _safe_ll(state, state.cluster_asts[cid], index)
-        candidates.append((cid, math.log(size) + ll))
+        candidates.append((cid, math.log(size) + ll, ll))
     fresh_ll = _safe_ll(state, fresh_ast, index)
-    candidates.append((None, math.log(state.concentration) + fresh_ll))
-    weights = np.array([w for _, w in candidates])
+    candidates.append((None, math.log(state.concentration) + fresh_ll, fresh_ll))
+    weights = np.array([w for _, w, _ in candidates])
     if np.all(np.isinf(weights)):
         state.bump("reassign_stuck")
         return state
     probs = np.exp(weights - logsumexp(weights))
     probs /= probs.sum()
     choice = int(state.rng.choice(len(candidates), p=probs))
-    target, _ = candidates[choice]
+    target, _, target_ll = candidates[choice]
     if was_singleton:
         del state.cluster_asts[current]
     if target is None:
@@ -182,7 +182,7 @@ def reassign_series_step(state: ClusterState, index: int) -> ClusterState:
         state.next_cid += 1
         state.cluster_asts[target] = fresh_ast
     state.assignments[index] = target
-    state.member_lls[index] = _safe_ll(state, state.cluster_asts[target], index)
+    state.member_lls[index] = target_ll
     state.bump("reassign_moves")
     return state
 
@@ -190,19 +190,20 @@ def reassign_series_step(state: ClusterState, index: int) -> ClusterState:
 def _cluster_tree_moves(state: ClusterState, cid: int, cfg: ScheduleConfig) -> None:
     """Run the per-cluster structure and hyper moves on pooled members."""
     members = state.members(cid)
-    data = [state.series[i] for i in members]
     trace = TraceState.init(
-        state.cluster_asts[cid], data, state.prior, state.rng, state.noise_var
+        state.cluster_asts[cid],
+        [state.series[i] for i in members],
+        state.prior,
+        state.rng,
+        state.noise_var,
+        log_likelihoods=[state.member_lls[i] for i in members],
     )
     for _ in range(cfg.hyper_steps):
         mh_hyper_step(trace)
     for _ in range(cfg.structure_steps):
         mh_structure_step(trace, cfg.size_correction)
     state.cluster_asts[cid] = trace.ast
-    for index in members:
-        state.member_lls[index] = log_marginal(
-            trace.ast, state.series[index], state.noise_var
-        )
+    state.member_lls.update(zip(members, trace.log_likelihoods))
 
 
 @dataclass(frozen=True)

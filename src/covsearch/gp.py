@@ -85,9 +85,10 @@ def chol_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     )
 
 
-def _observed_chol(
-    ast: KernelAst, data: Dataset, noise_var: float
+def observed_chol(
+    ast: KernelAst, data: Dataset, noise_var: float = DEFAULT_NOISE_VAR
 ) -> np.ndarray:
+    """Lower Cholesky factor of the tree's covariance on `data` plus noise."""
     cov = build_cov_matrix(ast, data.xs)
     cov[np.diag_indices_from(cov)] += noise_var
     factor, _ = chol_with_jitter(cov)
@@ -105,7 +106,7 @@ def log_marginal_and_chol(
     n = len(data)
     if n == 0:
         return 0.0, None
-    factor = _observed_chol(ast, data, noise_var)
+    factor = observed_chol(ast, data, noise_var)
     alpha = solve_triangular(factor, data.ys, lower=True)
     value = (
         -0.5 * float(alpha @ alpha)
@@ -129,11 +130,14 @@ def predict(
     probe_xs,
     noise_var: float = DEFAULT_NOISE_VAR,
     noisy: bool = False,
+    factor: np.ndarray | None = None,
 ) -> GpPosterior:
     """Posterior Gaussian at probe points given training data.
 
     With `noisy` the returned covariance includes the observation noise,
     i.e. it describes new measurements rather than the latent function.
+    `factor` is `observed_chol(ast, train, noise_var)` when the caller
+    holds it already, for instance to predict several probe sets.
     """
     probe = np.asarray(probe_xs, dtype=float)
     if probe.ndim != 1 or probe.size == 0:
@@ -143,7 +147,8 @@ def predict(
         mean = np.zeros(probe.size)
         cov = prior_cov
     else:
-        factor = _observed_chol(ast, train, noise_var)
+        if factor is None:
+            factor = observed_chol(ast, train, noise_var)
         cross = cross_cov_matrix(ast, train.xs, probe)
         solved = cho_solve((factor, True), train.ys)
         mean = cross.T @ solved

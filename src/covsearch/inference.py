@@ -24,7 +24,14 @@ from scipy.linalg import cho_solve
 from scipy.special import expit
 
 from .errors import NumericError, UnsupportedMoveError
-from .gp import DEFAULT_NOISE_VAR, Dataset, GpPosterior, log_marginal_and_chol, predict
+from .gp import (
+    DEFAULT_NOISE_VAR,
+    Dataset,
+    GpPosterior,
+    log_marginal_and_chol,
+    observed_chol,
+    predict,
+)
 from .kernels import (
     BaseKernel,
     HyperSite,
@@ -39,6 +46,7 @@ from .kernels import (
 )
 from .prior import (
     PriorConfig,
+    _open_uniform,
     ast_log_prior,
     sample_ast,
     sample_hyper,
@@ -84,6 +92,8 @@ class TraceState:
 
     `datasets` may hold several series; the likelihood is then the sum
     of independent GP marginals, which is what cluster moves need.
+    `log_likelihoods` and `chols` hold each dataset's marginal and the
+    Cholesky factor it used; `chols` is empty while no factor is known.
     """
 
     ast: KernelAst
@@ -91,7 +101,7 @@ class TraceState:
     prior: PriorConfig
     noise_var: float
     rng: np.random.Generator
-    log_likelihood: float = 0.0
+    log_likelihoods: tuple[float, ...] = ()
     log_prior: float = 0.0
     chols: tuple = ()
     stats: dict[str, int] = field(default_factory=dict)
@@ -104,7 +114,14 @@ class TraceState:
         prior: PriorConfig,
         rng: np.random.Generator,
         noise_var: float = DEFAULT_NOISE_VAR,
+        log_likelihoods: Sequence[float] | None = None,
     ) -> "TraceState":
+        """Start a chain at `ast`, scoring it on every dataset.
+
+        Pass `log_likelihoods`, each dataset's log marginal under `ast`,
+        when the caller already holds them: the state then starts
+        without factors, and a gradient sweep factors when it needs to.
+        """
         datasets = (data,) if isinstance(data, Dataset) else tuple(data)
         state = cls(
             ast=ast,
@@ -113,11 +130,16 @@ class TraceState:
             noise_var=noise_var,
             rng=rng,
         )
-        state.log_likelihood, state.chols = _total_loglik(
-            ast, datasets, noise_var
-        )
+        if log_likelihoods is None:
+            state.log_likelihoods, state.chols = _logliks(ast, datasets, noise_var)
+        else:
+            state.log_likelihoods = tuple(log_likelihoods)
         state.log_prior = ast_log_prior(prior, ast)
         return state
+
+    @property
+    def log_likelihood(self) -> float:
+        return sum(self.log_likelihoods, 0.0)
 
     @property
     def log_joint(self) -> float:
@@ -128,29 +150,18 @@ class TraceState:
 
     def refresh(self) -> None:
         """Recompute every cached score from the current tree."""
-        self.log_likelihood, self.chols = _total_loglik(
+        self.log_likelihoods, self.chols = _logliks(
             self.ast, self.datasets, self.noise_var
         )
         self.log_prior = ast_log_prior(self.prior, self.ast)
 
 
-def _total_loglik(
+def _logliks(
     ast: KernelAst, datasets: Sequence[Dataset], noise_var: float
-) -> tuple[float, tuple]:
-    total = 0.0
-    chols = []
-    for data in datasets:
-        value, factor = log_marginal_and_chol(ast, data, noise_var)
-        total += value
-        chols.append(factor)
-    return total, tuple(chols)
-
-
-def _log_open_uniform(rng: np.random.Generator) -> float:
-    u = rng.uniform()
-    while u <= 0.0:
-        u = rng.uniform()
-    return math.log(u)
+) -> tuple[tuple[float, ...], tuple]:
+    """Each dataset's log marginal under `ast`, and the factors used."""
+    scored = [log_marginal_and_chol(ast, data, noise_var) for data in datasets]
+    return tuple(value for value, _ in scored), tuple(factor for _, factor in scored)
 
 
 def mh_structure_step(state: TraceState, size_correction: bool = True) -> TraceState:
@@ -165,19 +176,19 @@ def mh_structure_step(state: TraceState, size_correction: bool = True) -> TraceS
     regrown = sample_subtree(state.prior, target, state.rng)
     proposal = replace_subtree(state.ast, target, regrown)
     try:
-        proposal_ll, proposal_chols = _total_loglik(
+        proposal_lls, proposal_chols = _logliks(
             proposal, state.datasets, state.noise_var
         )
     except NumericError:
         state.bump("structure_numeric_reject")
         state.bump("structure_reject")
         return state
-    log_alpha = proposal_ll - state.log_likelihood
+    log_alpha = sum(proposal_lls) - state.log_likelihood
     if size_correction:
         log_alpha += math.log(len(state.ast)) - math.log(len(proposal))
-    if _log_open_uniform(state.rng) < log_alpha:
+    if math.log(_open_uniform(state.rng)) < log_alpha:
         state.ast = proposal
-        state.log_likelihood = proposal_ll
+        state.log_likelihoods = proposal_lls
         state.chols = proposal_chols
         state.log_prior = ast_log_prior(state.prior, proposal)
         state.bump("structure_accept")
@@ -205,16 +216,17 @@ def mh_hyper_step(
     proposal_site = sample_hyper(state.rng, old.offset)
     proposal = with_hyper(state.ast, node, slot, proposal_site)
     try:
-        proposal_ll, proposal_chols = _total_loglik(
+        proposal_lls, proposal_chols = _logliks(
             proposal, state.datasets, state.noise_var
         )
     except NumericError:
         state.bump("hyper_numeric_reject")
         state.bump("hyper_reject")
         return state
-    if _log_open_uniform(state.rng) < proposal_ll - state.log_likelihood:
+    log_alpha = sum(proposal_lls) - state.log_likelihood
+    if math.log(_open_uniform(state.rng)) < log_alpha:
         state.ast = proposal
-        state.log_likelihood = proposal_ll
+        state.log_likelihoods = proposal_lls
         state.chols = proposal_chols
         state.log_prior = ast_log_prior(state.prior, proposal)
         state.bump("hyper_accept")
@@ -270,6 +282,8 @@ def hyper_gradients(state: TraceState) -> dict[tuple[int, int], float]:
     grads = {site: 0.0 for site in sites}
     if not sites:
         return grads
+    if len(state.chols) != len(state.datasets):
+        state.refresh()
     nodes = state.ast.nodes
     for data, factor in zip(state.datasets, state.chols):
         if factor is None:
@@ -293,8 +307,11 @@ def hyper_gradients(state: TraceState) -> dict[tuple[int, int], float]:
                 adjoints[right] = parent * mats[left]
             else:
                 raise UnsupportedMoveError("changepoint in gradient sweep")
+        jacobians: dict[int, list[np.ndarray]] = {}
         for node, slot in sites:
-            jac = leaf_cov_grads(nodes[node], data.xs)[slot]
+            if node not in jacobians:
+                jacobians[node] = leaf_cov_grads(nodes[node], data.xs)
+            jac = jacobians[node][slot]
             grads[(node, slot)] += float(np.sum(adjoints[node] * jac))
     for node, slot in sites:
         site = nodes[node].hypers[slot]
@@ -526,18 +543,56 @@ def averaged_prediction(
     The mixture mean is the average of per-sample means and the mixture
     covariance adds the spread between those means.
     """
-    chosen = [s for s in samples if label is None or s.label == label]
-    if not chosen:
+    chosen = [i for i, s in enumerate(samples) if label is None or s.label == label]
+    [[post]] = averaged_predictions(
+        samples, train, [(probe_xs, noisy)], [chosen], noise_var
+    )
+    return post
+
+
+def averaged_predictions(
+    samples: Sequence[PosteriorSample],
+    train: Dataset,
+    probes: Sequence[tuple[np.ndarray, bool]],
+    groups: Sequence[Sequence[int]],
+    noise_var: float = DEFAULT_NOISE_VAR,
+) -> list[list[GpPosterior]]:
+    """Mixture predictives of several groups of samples at several probe sets.
+
+    `probes` holds (probe inputs, noisy) pairs and each group holds
+    sample indices. The result has one row per group with one mixture
+    per probe set, each as `averaged_prediction` gives it; members are
+    averaged in sample order. Every sample a group names is predicted
+    once per probe set, from one factorization of its training
+    covariance, and feeds every group that names it.
+    """
+    if not all(groups):
         raise ValueError("no samples to average over")
-    probe = np.asarray(probe_xs, dtype=float)
-    k = probe.size
-    mean_acc = np.zeros(k)
-    cov_acc = np.zeros((k, k))
-    for sample in chosen:
-        post = predict(sample.ast, train, probe, noise_var, noisy)
-        mean_acc += post.mean
-        cov_acc += post.cov + np.outer(post.mean, post.mean)
-    mean = mean_acc / len(chosen)
-    cov = cov_acc / len(chosen) - np.outer(mean, mean)
-    cov = 0.5 * (cov + cov.T)
-    return GpPosterior(at=probe, mean=mean, cov=cov)
+    arrays = [np.asarray(xs, dtype=float) for xs, _ in probes]
+    sums = [
+        [(np.zeros(probe.size), np.zeros((probe.size, probe.size))) for probe in arrays]
+        for _ in groups
+    ]
+    named: dict[int, list[int]] = {}
+    for g, group in enumerate(groups):
+        for index in group:
+            named.setdefault(index, []).append(g)
+    for index in sorted(named):
+        ast = samples[index].ast
+        factor = observed_chol(ast, train, noise_var) if len(train) else None
+        for p, (probe, (_, noisy)) in enumerate(zip(arrays, probes)):
+            post = predict(ast, train, probe, noise_var, noisy, factor)
+            spread = post.cov + np.outer(post.mean, post.mean)
+            for g in named[index]:
+                mean_acc, cov_acc = sums[g][p]
+                mean_acc += post.mean
+                cov_acc += spread
+    mixtures = []
+    for group, row in zip(groups, sums):
+        mixtures.append([])
+        for probe, (mean_acc, cov_acc) in zip(arrays, row):
+            mean = mean_acc / len(group)
+            cov = cov_acc / len(group) - np.outer(mean, mean)
+            cov = 0.5 * (cov + cov.T)
+            mixtures[-1].append(GpPosterior(at=probe, mean=mean, cov=cov))
+    return mixtures

@@ -161,3 +161,52 @@ def test_cluster_samples_expose_block_labels():
     for sample in samples:
         assert len(sample.labels) == len(sample.partition)
         assert sum(len(block) for block in sample.partition) == 3
+
+
+def test_sweep_scores_each_proposal_and_candidate_once(monkeypatch):
+    import covsearch.clustering as clustering
+    import covsearch.gp as gp
+    import covsearch.inference as inference
+
+    series = [toy_data(seed=s, n=6) for s in (15, 16, 17, 18)]
+    state = ClusterState.init(series, np.random.default_rng(19))
+    cfg = ScheduleConfig(hyper_steps=3, structure_steps=3)
+    cluster_sweep(state, cfg)
+
+    scored = []
+    score = gp.log_marginal_and_chol
+
+    def counted(ast, data, noise_var):
+        scored.append((ast, data))
+        return score(ast, data, noise_var)
+
+    expected = {"scores": 0}
+    reassign = clustering.reassign_series_step
+
+    def counted_reassign(state, index):
+        others = {c for i, c in state.assignments.items() if i != index}
+        expected["scores"] += len(others) + 1
+        return reassign(state, index)
+
+    def counted_move(move):
+        def run(trace, *args):
+            move(trace, *args)
+            assert not any(key.endswith("numeric_reject") for key in trace.stats)
+            expected["scores"] += len(trace.datasets)
+            return trace
+
+        return run
+
+    monkeypatch.setattr(gp, "log_marginal_and_chol", counted)
+    monkeypatch.setattr(inference, "log_marginal_and_chol", counted)
+    monkeypatch.setattr(clustering, "reassign_series_step", counted_reassign)
+    monkeypatch.setattr(clustering, "mh_hyper_step", counted_move(clustering.mh_hyper_step))
+    monkeypatch.setattr(
+        clustering, "mh_structure_step", counted_move(clustering.mh_structure_step)
+    )
+    cluster_sweep(state, cfg)
+    assert len(scored) == expected["scores"]
+    assert len({(id(ast), id(data)) for ast, data in scored}) == len(scored)
+    for index, cid in state.assignments.items():
+        ast = state.cluster_asts[cid]
+        assert state.member_lls[index] == score(ast, series[index], state.noise_var)[0]

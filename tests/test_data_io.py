@@ -2,11 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import covsearch
 from covsearch.baseline import blr_baseline, nig_posterior
+from covsearch.blas import THREAD_VARS, openblas_pools
 from covsearch.cli import main
 from covsearch.config import (
     RunConfig,
@@ -257,6 +263,14 @@ def test_resolved_standardize_tracks_task():
     assert forced.resolved_standardize() is False
 
 
+def test_readme_config_block_spells_out_the_defaults(tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    assert load_config(path) == load_config()
+
+
 def test_config_file_and_overrides(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text(
@@ -480,6 +494,84 @@ def test_cli_compare_inference(tmp_path):
         assert lines[0] == "chain,step,log_joint,h0,h1"
         assert len(lines) == 1 + 2 * 20  # two chains, sweeps*hyper_steps rows
         assert "holdout_mse" in metrics["methods"][method]
+
+
+def _pool_threads():
+    return [get() for get, _ in openblas_pools()]
+
+
+@pytest.fixture
+def blas_pools(monkeypatch):
+    """Loaded OpenBLAS pools at 2 threads, thread variables unset."""
+    pools = openblas_pools()
+    if not pools:
+        pytest.skip("no OpenBLAS loaded in this process")
+    for var in THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    previous = _pool_threads()
+    for _, put in pools:
+        put(2)
+    yield pools
+    for (_, put), count in zip(pools, previous):
+        put(count)
+
+
+def _threads_during_synth(tmp_path, monkeypatch):
+    import covsearch.cli as cli
+
+    seen = []
+    runner = cli._run_synth
+
+    def recording(args, cfg):
+        seen.append(_pool_threads())
+        runner(args, cfg)
+
+    monkeypatch.setattr(cli, "_run_synth", recording)
+    code = run_cli("synth-data", "--kind", "periodic", "--n", "10", "--out", str(tmp_path))
+    assert code == 0
+    return seen
+
+
+def test_cli_runs_each_task_on_one_blas_thread(tmp_path, monkeypatch, blas_pools):
+    seen = _threads_during_synth(tmp_path, monkeypatch)
+    assert seen == [[1] * len(blas_pools)]
+    assert _pool_threads() == [2] * len(blas_pools)
+
+
+def test_cli_leaves_blas_threads_to_the_environment(tmp_path, monkeypatch, blas_pools):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    seen = _threads_during_synth(tmp_path, monkeypatch)
+    assert seen == [[2] * len(blas_pools)]
+
+
+def test_cli_output_bytes_match_an_explicit_single_blas_thread(tmp_path):
+    # At n = 40 OpenBLAS keeps one thread on its own; at 160 points the
+    # default thread count changes the predictions' last digits.
+    data = tmp_path / "series.csv"
+    write_dataset_csv(data, synth_data("lin_plus_per", 160, np.random.default_rng(12)))
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(covsearch.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+    )
+    outs = []
+    for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        out = tmp_path / f"out{len(outs)}"
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "covsearch", "fit", "--data", str(data),
+                "--seed", "21", "--out", str(out),
+                "--set", "schedule.sweeps=6",
+                "--set", "schedule.hyper_steps=6",
+                "--set", "schedule.structure_steps=6",
+            ],
+            env={**env, **extra}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_cli_exit_codes(tmp_path):

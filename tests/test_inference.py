@@ -13,6 +13,7 @@ from covsearch.inference import (
     ScheduleConfig,
     TraceState,
     averaged_prediction,
+    averaged_predictions,
     drop_burn_in,
     gradient_sites,
     gradient_step_hypers,
@@ -289,6 +290,38 @@ def test_gradients_sum_over_datasets():
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
+def test_gradient_sweep_builds_each_leaf_jacobian_once(monkeypatch):
+    import covsearch.inference as inference
+
+    ast = tree(["+", ["PER", 0.91, 2.0], ["*", ["SE", 1.51], ["PER", 1.2, 3.0]]])
+    parts = [toy_data(seed=21, n=5), toy_data(seed=22, n=4)]
+    state = new_state(ast, parts)
+    want = hyper_gradients(state)
+    built = []
+    jacobians = inference.leaf_cov_grads
+
+    def counted(bundle, xs):
+        built.append(bundle)
+        return jacobians(bundle, xs)
+
+    monkeypatch.setattr(inference, "leaf_cov_grads", counted)
+    assert hyper_gradients(state) == want
+    assert len(built) == 3 * len(parts)
+
+
+def test_gradients_of_a_state_started_from_known_scores():
+    ast = tree(["*", ["SE", 1.51], ["PER", 0.91, 2.0]])
+    parts = [toy_data(seed=21, n=5), toy_data(seed=22, n=4)]
+    scored = new_state(ast, parts)
+    known = TraceState.init(
+        ast, parts, PriorConfig(), np.random.default_rng(0), 0.1,
+        log_likelihoods=scored.log_likelihoods,
+    )
+    assert known.chols == ()
+    assert known.log_joint == scored.log_joint
+    assert hyper_gradients(known) == hyper_gradients(scored)
+
+
 def test_gradient_step_is_ascent_for_small_steps():
     gen = np.random.default_rng(23)
     data = toy_data(seed=24, n=6)
@@ -456,6 +489,40 @@ def test_averaged_prediction_is_a_mixture():
     )
     assert np.allclose(got.mean, want_mean, atol=1e-12)
     assert np.allclose(got.cov, want_cov, atol=1e-12)
+
+
+def test_averaged_predictions_factor_each_sample_once(monkeypatch):
+    import covsearch.gp as gp
+
+    train = toy_data(seed=34, n=6)
+    a = leaf("SE", 1.51)
+    b = tree(["+", ["LIN", 0.3], ["PER", 0.8, 3.0]])
+    samples = [_sample(0, i, structure_label(t), t) for i, t in enumerate([a, b, a, b])]
+    probes = [(np.linspace(0, 10, 5), False), (np.array([2.5, 7.5]), True)]
+    groups = [range(4), [1, 3], [2]]
+    want = [
+        [
+            averaged_prediction([samples[i] for i in group], train, xs, noisy=noisy)
+            for xs, noisy in probes
+        ]
+        for group in groups
+    ]
+    factored = []
+    factor = gp.chol_with_jitter
+
+    def counted(matrix):
+        factored.append(matrix.shape)
+        return factor(matrix)
+
+    monkeypatch.setattr(gp, "chol_with_jitter", counted)
+    got = averaged_predictions(samples, train, probes, groups)
+    assert len(factored) == len(samples)
+    for got_row, want_row in zip(got, want):
+        for mixture, reference in zip(got_row, want_row):
+            assert np.array_equal(mixture.mean, reference.mean)
+            assert np.array_equal(mixture.cov, reference.cov)
+    with pytest.raises(ValueError):
+        averaged_predictions(samples, train, probes, [[0], []])
 
 
 def test_averaged_prediction_label_filter():
