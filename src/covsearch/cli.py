@@ -17,7 +17,7 @@ import numpy as np
 
 from .baseline import blr_baseline
 from .blas import single_blas_thread
-from .clustering import run_cluster_schedule
+from .clustering import modal_partition, run_cluster_schedule
 from .config import RunConfig, load_config, with_chains, with_seed, with_task
 from .data import (
     SYNTH_KINDS,
@@ -28,7 +28,6 @@ from .data import (
     write_dataset_csv,
 )
 from .errors import ConfigError, DataError, NumericError, StructureError
-from .gp import Dataset, predict
 from .inference import (
     averaged_predictions,
     drop_burn_in,
@@ -38,8 +37,8 @@ from .inference import (
     run_schedule,
     structure_histogram,
 )
-from .kernels import HyperSite, from_nested, hyper_sites, with_hyper
-from .results import emit_results, rmse
+from .kernels import from_nested, hyper_sites
+from .results import emit_results, mse, rmse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -124,13 +123,10 @@ def _run_fit_predict(args, cfg: RunConfig) -> None:
     ingested = _ingest(args, cfg)
     full = ingested.dataset
     transform = ingested.standardization
-    if args.holdout and cfg.holdout_fraction > 0.0:
-        split_rng = np.random.default_rng(cfg.schedule.seed)
-        train, held = split_holdout(
-            full, cfg.holdout_fraction, cfg.holdout_mode, split_rng
-        )
-    else:
-        train, held = full, Dataset(np.empty(0), np.empty(0))
+    fraction = cfg.holdout_fraction if args.holdout else 0.0
+    train, held = split_holdout(
+        full, fraction, cfg.holdout_mode, np.random.default_rng(cfg.schedule.seed)
+    )
     samples = run_schedule(
         train, None, cfg.schedule, prior=cfg.prior, noise_var=cfg.noise_var
     )
@@ -225,18 +221,13 @@ def _run_cluster(args, cfg: RunConfig) -> None:
                 "labels": list(sample.labels),
             }
         )
-    cut = int(np.ceil(cfg.schedule.burn_in * len(samples)))
-    post = samples[cut:] or samples
-    tallies: dict[tuple, int] = {}
-    for sample in post:
-        tallies[sample.partition] = tallies.get(sample.partition, 0) + 1
-    modal = max(sorted(tallies), key=lambda p: tallies[p])
+    modal, mass = modal_partition(samples, cfg.schedule.burn_in)
     metrics = {
         "task": cfg.task,
         "n_series": len(series),
         "concentration": cfg.concentration,
         "modal_partition": [[names[i] for i in members] for members in modal],
-        "modal_mass": tallies[modal] / len(post),
+        "modal_mass": mass,
         "recorded_sweeps": len(samples),
     }
     emit_results(args.out, metrics=metrics, partitions=records)
@@ -263,13 +254,10 @@ def _run_compare(args, cfg: RunConfig) -> None:
     ingested = _ingest(args, cfg)
     full = ingested.dataset
     transform = ingested.standardization
-    if cfg.holdout_fraction > 0.0:
-        split_rng = np.random.default_rng(cfg.schedule.seed)
-        train, held = split_holdout(
-            full, cfg.holdout_fraction, cfg.holdout_mode, split_rng
-        )
-    else:
-        train, held = full, Dataset(np.empty(0), np.empty(0))
+    train, held = split_holdout(
+        full, cfg.holdout_fraction, cfg.holdout_mode,
+        np.random.default_rng(cfg.schedule.seed),
+    )
     skeleton = _compare_skeleton(cfg)
     steps = cfg.schedule.sweeps * cfg.schedule.hyper_steps
     if steps <= 0:
@@ -308,29 +296,18 @@ def _run_compare(args, cfg: RunConfig) -> None:
                 cut = int(cfg.schedule.burn_in * steps)
                 posts = [t for t in traces if t.step >= cut] or traces
                 posts = posts[:: max(1, len(posts) // 200)]
-                preds = np.zeros(len(held))
-                for point in posts:
-                    ast = _ast_with_values(skeleton, sites, point.values)
-                    preds += predict(ast, train, held.xs, cfg.noise_var).mean
-                mean = preds / len(posts)
             else:
-                best = max(finals, key=lambda s: s.log_joint)
-                mean = predict(best.ast, train, held.xs, cfg.noise_var).mean
-            truth = held.ys
+                posts = [max(finals, key=lambda s: s.log_joint)]
+            [[post]] = averaged_predictions(
+                posts, train, [(held.xs, False)], [range(len(posts))], cfg.noise_var
+            )
+            mean, truth = post.mean, held.ys
             if transform is not None:
                 mean = transform.y_back(mean)
                 truth = transform.y_back(held.ys)
-            summary["holdout_mse"] = float(np.mean((mean - truth) ** 2))
+            summary["holdout_mse"] = mse(mean, truth)
         metrics["methods"][method] = summary
     emit_results(args.out, metrics=metrics, traces=traces_out)
-
-
-def _ast_with_values(skeleton, sites, values):
-    ast = skeleton
-    for (node, slot), value in zip(sites, values):
-        offset = skeleton.nodes[node].hypers[slot].offset
-        ast = with_hyper(ast, node, slot, HyperSite.from_constrained(value, offset))
-    return ast
 
 
 def _run_synth(args, cfg: RunConfig) -> None:

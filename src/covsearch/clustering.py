@@ -10,6 +10,7 @@ per cluster on its pooled members.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -253,3 +254,17 @@ def run_cluster_schedule(
             ClusterSample(sweep=sweep, partition=partition, labels=tuple(labels))
         )
     return samples
+
+
+def modal_partition(
+    samples: Sequence[ClusterSample], burn_in: float
+) -> tuple[tuple[tuple[int, ...], ...], float]:
+    """Most frequent partition after burn-in, and its share of the kept sweeps.
+
+    The first ceil(burn_in * len(samples)) sweeps are dropped, unless
+    that drops them all; ties go to the partition that sorts first.
+    """
+    post = samples[math.ceil(burn_in * len(samples)) :] or samples
+    tallies = Counter(sample.partition for sample in post)
+    modal = max(sorted(tallies), key=lambda p: tallies[p])
+    return modal, tallies[modal] / len(post)

@@ -73,10 +73,12 @@ def chol_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     matrix = np.asarray(matrix, dtype=float)
     if not np.all(np.isfinite(matrix)):
         raise NumericError("covariance matrix has non-finite entries")
-    eye = np.eye(matrix.shape[0])
     for jitter in JITTER_LADDER:
+        # The jitter-free attempt factors the matrix itself; most calls
+        # end there, so they allocate no identity and no shifted copy.
+        shifted = matrix + jitter * np.eye(matrix.shape[0]) if jitter else matrix
         try:
-            return np.linalg.cholesky(matrix + jitter * eye), jitter
+            return np.linalg.cholesky(shifted), jitter
         except np.linalg.LinAlgError:
             continue
     raise NumericError(

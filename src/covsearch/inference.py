@@ -164,37 +164,47 @@ def _logliks(
     return tuple(value for value, _ in scored), tuple(factor for _, factor in scored)
 
 
-def mh_structure_step(state: TraceState, size_correction: bool = True) -> TraceState:
-    """One resimulation MH move on the tree structure.
+def _metropolis(
+    state: TraceState, kind: str, proposal: KernelAst, log_correction: float
+) -> TraceState:
+    """Accept or reject `proposal` on its likelihood ratio plus `log_correction`.
 
-    Rejections leave everything but the move counters untouched. A
-    proposal whose covariance cannot be factored counts as an automatic
-    rejection rather than an error.
+    A proposal whose covariance cannot be factored counts as an
+    automatic rejection rather than an error.
     """
-    nodes = sorted(state.ast.nodes)
-    target = nodes[int(state.rng.integers(len(nodes)))]
-    regrown = sample_subtree(state.prior, target, state.rng)
-    proposal = replace_subtree(state.ast, target, regrown)
     try:
         proposal_lls, proposal_chols = _logliks(
             proposal, state.datasets, state.noise_var
         )
     except NumericError:
-        state.bump("structure_numeric_reject")
-        state.bump("structure_reject")
+        state.bump(f"{kind}_numeric_reject")
+        state.bump(f"{kind}_reject")
         return state
-    log_alpha = sum(proposal_lls) - state.log_likelihood
-    if size_correction:
-        log_alpha += math.log(len(state.ast)) - math.log(len(proposal))
+    log_alpha = sum(proposal_lls) - state.log_likelihood + log_correction
     if math.log(_open_uniform(state.rng)) < log_alpha:
         state.ast = proposal
         state.log_likelihoods = proposal_lls
         state.chols = proposal_chols
         state.log_prior = ast_log_prior(state.prior, proposal)
-        state.bump("structure_accept")
+        state.bump(f"{kind}_accept")
     else:
-        state.bump("structure_reject")
+        state.bump(f"{kind}_reject")
     return state
+
+
+def mh_structure_step(state: TraceState, size_correction: bool = True) -> TraceState:
+    """One resimulation MH move on the tree structure.
+
+    Rejections leave everything but the move counters untouched.
+    """
+    nodes = sorted(state.ast.nodes)
+    target = nodes[int(state.rng.integers(len(nodes)))]
+    regrown = sample_subtree(state.prior, target, state.rng)
+    proposal = replace_subtree(state.ast, target, regrown)
+    correction = 0.0
+    if size_correction:
+        correction = math.log(len(state.ast)) - math.log(len(proposal))
+    return _metropolis(state, "structure", proposal, correction)
 
 
 def mh_hyper_step(
@@ -215,24 +225,7 @@ def mh_hyper_step(
     old = state.ast.nodes[node].hypers[slot]
     proposal_site = sample_hyper(state.rng, old.offset)
     proposal = with_hyper(state.ast, node, slot, proposal_site)
-    try:
-        proposal_lls, proposal_chols = _logliks(
-            proposal, state.datasets, state.noise_var
-        )
-    except NumericError:
-        state.bump("hyper_numeric_reject")
-        state.bump("hyper_reject")
-        return state
-    log_alpha = sum(proposal_lls) - state.log_likelihood
-    if math.log(_open_uniform(state.rng)) < log_alpha:
-        state.ast = proposal
-        state.log_likelihoods = proposal_lls
-        state.chols = proposal_chols
-        state.log_prior = ast_log_prior(state.prior, proposal)
-        state.bump("hyper_accept")
-    else:
-        state.bump("hyper_reject")
-    return state
+    return _metropolis(state, "hyper", proposal, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +439,7 @@ class HyperTracePoint:
     step: int
     values: tuple[float, ...]
     log_joint: float
+    ast: KernelAst
 
 
 def run_hyper_inference(
@@ -486,7 +480,9 @@ def run_hyper_inference(
                 state.ast.nodes[node].hypers[slot].constrained
                 for node, slot in site_order
             )
-            traces.append(HyperTracePoint(chain, step, values, state.log_joint))
+            traces.append(
+                HyperTracePoint(chain, step, values, state.log_joint, state.ast)
+            )
         finals.append(state)
     return traces, finals
 
@@ -564,7 +560,8 @@ def averaged_predictions(
     per probe set, each as `averaged_prediction` gives it; members are
     averaged in sample order. Every sample a group names is predicted
     once per probe set, from one factorization of its training
-    covariance, and feeds every group that names it.
+    covariance, and feeds every group that names it. Only each sample's
+    `ast` is read, so hyper trace points and chain states serve as well.
     """
     if not all(groups):
         raise ValueError("no samples to average over")

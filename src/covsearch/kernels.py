@@ -248,66 +248,43 @@ def with_hyper(ast: KernelAst, node: int, slot: int, site: HyperSite) -> KernelA
 # Covariance semantics
 
 
-def _leaf_scalar(bundle: NodeBundle, x: float, y: float) -> float:
+def _leaf(bundle: NodeBundle, xs: np.ndarray, ys: np.ndarray):
+    """The meaning of each base kernel, written once.
+
+    Returns the leaf's covariance between two input vectors, and a
+    callable giving d cov / d h for each constrained hyper, built on
+    request from the same intermediates.
+    """
     h = [site.constrained for site in bundle.hypers]
     kind = bundle.kernel
     if kind is BaseKernel.WN:
-        return h[0] if x == y else 0.0
+        ties = np.equal.outer(xs, ys).astype(float)
+        return h[0] * ties, lambda: [ties]
     if kind is BaseKernel.C:
-        return h[0]
+        shape = (xs.size, ys.size)
+        return np.full(shape, h[0]), lambda: [np.ones(shape)]
     if kind is BaseKernel.LIN:
-        return (x - h[0]) * (y - h[0])
-    if kind is BaseKernel.SE:
-        d = x - y
-        return math.exp(-0.5 * d * d / (h[0] * h[0]))
-    if kind is BaseKernel.PER:
-        s = math.sin(math.pi * abs(x - y) / h[1])
-        return math.exp(-2.0 * s * s / (h[0] * h[0]))
-    raise StructureError(f"unknown base kernel {kind!r}")
-
-
-def eval_kernel(ast: KernelAst, x: float, y: float, node: int = 1) -> float:
-    """Evaluate the (sub)tree's covariance function at a pair of inputs."""
-    x = float(x)
-    y = float(y)
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise NumericError(f"non-finite kernel inputs ({x!r}, {y!r})")
-    if node not in ast.nodes:
-        raise StructureError(f"no node {node} in tree")
-    bundle = ast.nodes[node]
-    if not bundle.is_branch:
-        return _leaf_scalar(bundle, x, y)
-    left = eval_kernel(ast, x, y, 2 * node)
-    right = eval_kernel(ast, x, y, 2 * node + 1)
-    op = bundle.operator
-    if op is Operator.SUM:
-        return left + right
-    if op is Operator.PRODUCT:
-        return left * right
-    if op is Operator.CHANGEPOINT:
-        loc = bundle.hypers[0].constrained
-        sx = float(expit((loc - x) / CP_DECAY))
-        sy = float(expit((loc - y) / CP_DECAY))
-        return sx * sy * left + (1.0 - sx) * (1.0 - sy) * right
-    raise StructureError(f"unknown operator {op!r}")
-
-
-def _leaf_cross(bundle: NodeBundle, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    h = [site.constrained for site in bundle.hypers]
-    kind = bundle.kernel
-    if kind is BaseKernel.WN:
-        return h[0] * np.equal.outer(xs, ys).astype(float)
-    if kind is BaseKernel.C:
-        return np.full((xs.size, ys.size), h[0])
-    if kind is BaseKernel.LIN:
-        return np.outer(xs - h[0], ys - h[0])
+        value = np.outer(xs - h[0], ys - h[0])
+        return value, lambda: [np.add.outer(h[0] - xs, h[0] - ys)]
     if kind is BaseKernel.SE:
         d = np.subtract.outer(xs, ys)
-        return np.exp(-0.5 * d * d / (h[0] * h[0]))
-    if kind is BaseKernel.PER:
-        s = np.sin(np.pi * np.abs(np.subtract.outer(xs, ys)) / h[1])
-        return np.exp(-2.0 * s * s / (h[0] * h[0]))
-    raise StructureError(f"unknown base kernel {kind!r}")
+        k = np.exp(-0.5 * d * d / (h[0] * h[0]))
+        return k, lambda: [k * d**2 / h[0] ** 3]
+    if kind is not BaseKernel.PER:
+        raise StructureError(f"unknown base kernel {kind!r}")
+    s = np.sin(np.pi * np.abs(np.subtract.outer(xs, ys)) / h[1])
+    k = np.exp(-2.0 * s * s / (h[0] * h[0]))
+
+    def jacobian():
+        # Built only on request: naming `r` and `ang` on the value path
+        # costs two more n x n arrays per covariance build.
+        r = np.abs(np.subtract.outer(xs, ys))
+        ang = np.pi * r / h[1]
+        dk_dh = k * 4.0 * s * s / h[0] ** 3
+        dk_dp = k * (2.0 * np.pi * r / (h[0] ** 2 * h[1] ** 2)) * np.sin(2.0 * ang)
+        return [dk_dh, dk_dp]
+
+    return k, jacobian
 
 
 def _cross(
@@ -319,7 +296,7 @@ def _cross(
 ) -> np.ndarray:
     bundle = nodes[node]
     if not bundle.is_branch:
-        out = _leaf_cross(bundle, xs, ys)
+        out = _leaf(bundle, xs, ys)[0]
     else:
         left = _cross(nodes, 2 * node, xs, ys, sink)
         right = _cross(nodes, 2 * node + 1, xs, ys, sink)
@@ -366,6 +343,11 @@ def cross_cov_matrix(ast: KernelAst, xs, ys, node: int = 1) -> np.ndarray:
     return _cross(ast.nodes, node, _as_inputs(xs), _as_inputs(ys))
 
 
+def eval_kernel(ast: KernelAst, x: float, y: float, node: int = 1) -> float:
+    """Evaluate the (sub)tree's covariance function at a pair of inputs."""
+    return float(cross_cov_matrix(ast, [x], [y], node)[0, 0])
+
+
 def cov_matrices(ast: KernelAst, xs) -> dict[int, np.ndarray]:
     """Covariance matrices of every subtree at once, keyed by node index.
 
@@ -382,29 +364,9 @@ def leaf_cov_grads(bundle: NodeBundle, xs: np.ndarray) -> list[np.ndarray]:
     """d cov / d h for each constrained hyper of a leaf, as dense matrices."""
     if bundle.is_branch:
         raise StructureError("leaf_cov_grads called on a branch node")
-    h = [site.constrained for site in bundle.hypers]
-    kind = bundle.kernel
     xs = np.asarray(xs, dtype=float)
-    if kind is BaseKernel.WN:
-        return [np.equal.outer(xs, xs).astype(float)]
-    if kind is BaseKernel.C:
-        return [np.ones((xs.size, xs.size))]
-    if kind is BaseKernel.LIN:
-        shifted = h[0] - xs
-        return [shifted[:, None] + shifted[None, :]]
-    if kind is BaseKernel.SE:
-        d2 = np.subtract.outer(xs, xs) ** 2
-        k = np.exp(-0.5 * d2 / (h[0] * h[0]))
-        return [k * d2 / h[0] ** 3]
-    if kind is BaseKernel.PER:
-        r = np.abs(np.subtract.outer(xs, xs))
-        ang = np.pi * r / h[1]
-        s = np.sin(ang)
-        k = np.exp(-2.0 * s * s / (h[0] * h[0]))
-        dk_dh = k * 4.0 * s * s / h[0] ** 3
-        dk_dp = k * (2.0 * np.pi * r / (h[0] ** 2 * h[1] ** 2)) * np.sin(2.0 * ang)
-        return [dk_dh, dk_dp]
-    raise StructureError(f"unknown base kernel {kind!r}")
+    _, jacobian = _leaf(bundle, xs, xs)
+    return jacobian()
 
 
 # ---------------------------------------------------------------------------

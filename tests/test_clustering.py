@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from covsearch.clustering import (
+    ClusterSample,
     ClusterState,
     canonical_partition,
     cached_joint_log_prob,
     cluster_sweep,
     crp_log_prior,
     joint_log_prob,
+    modal_partition,
     reassign_series_step,
     run_cluster_schedule,
 )
@@ -82,6 +84,16 @@ def test_canonical_partition_sorts_blocks_by_least_member():
 
 # ---------------------------------------------------------------------------
 # State and scores
+
+
+def test_modal_partition_drops_burn_in_and_breaks_ties_by_sort_order():
+    apart, together = ((0,), (1,)), ((0, 1),)
+    order = [together, apart, together, apart, together, apart]
+    samples = [ClusterSample(i, p, ()) for i, p in enumerate(order)]
+    # ceil(0.2 * 6) = 2 sweeps go; the rest tie 2-2 and `apart` sorts first.
+    assert modal_partition(samples, 0.2) == (apart, 0.5)
+    assert modal_partition(samples[:5], 0.0) == (together, 0.6)
+    assert modal_partition(samples[:1], 0.5) == (together, 1.0)
 
 
 def test_init_starts_all_singletons():

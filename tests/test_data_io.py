@@ -32,11 +32,11 @@ from covsearch.data import (
     write_dataset_csv,
 )
 from covsearch.errors import ConfigError, DataError
-from covsearch.gp import Dataset
+from covsearch.gp import Dataset, predict
 from covsearch.kernels import structure_label
 from covsearch.results import emit_results, fmt_float, mse, render_histogram, rmse
 
-from conftest import toy_data
+from conftest import toy_data, tree
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +494,70 @@ def test_cli_compare_inference(tmp_path):
         assert lines[0] == "chain,step,log_joint,h0,h1"
         assert len(lines) == 1 + 2 * 20  # two chains, sweeps*hyper_steps rows
         assert "holdout_mse" in metrics["methods"][method]
+
+
+def test_cli_compare_mh_holdout_mse_averages_the_kept_trace_rows(tmp_path):
+    out_synth = tmp_path / "synth"
+    assert run_cli(
+        "synth-data", "--kind", "periodic", "--n", "24",
+        "--out", str(out_synth), "--seed", "5",
+    ) == 0
+    out = tmp_path / "cmp"
+    assert run_cli(
+        "compare-inference", "--data", str(out_synth / "periodic.csv"),
+        "--out", str(out), "--seed", "4", "--chains", "2",
+        "--set", "schedule.sweeps=3",
+        "--set", "schedule.hyper_steps=100",
+    ) == 0
+    cfg = load_config()
+    train, held = split_holdout(
+        ingest_csv(out_synth / "periodic.csv").dataset,
+        cfg.holdout_fraction, cfg.holdout_mode,
+    )
+    lines = (out / "hyper_traces_mh.csv").read_text().splitlines()
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    cut = int(cfg.schedule.burn_in * 300)
+    kept = [row for row in rows if row[1] >= cut]
+    kept = kept[:: len(kept) // 200]
+    assert len(kept) == 240  # 2 chains x 240 post-burn-in steps, every 2nd
+    total = np.zeros(len(held))
+    for _, _, _, h0, h1 in kept:
+        total += predict(tree(["PER", h0, h1]), train, held.xs, cfg.noise_var).mean
+    want = mse(total / len(kept), held.ys)
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["methods"]["mh"]["holdout_mse"] == want
+
+
+def test_cli_cluster_modal_partition_recounts_from_the_partitions(tmp_path):
+    rows = ["series_id,x,y"]
+    gen = np.random.default_rng(8)
+    xs = np.linspace(0, 10, 12)
+    for name, ys in (("a", 0.5 * xs), ("b", np.sin(2 * xs)), ("c", -0.4 * xs)):
+        for x, y in zip(xs, ys + 0.1 * gen.standard_normal(12)):
+            rows.append(f"{name},{x},{y}")
+    data_file = tmp_path / "trio.csv"
+    data_file.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    assert run_cli(
+        "cluster", "--data", str(data_file), "--out", str(out), "--seed", "5",
+        "--set", "cluster.concentration=3.0",
+        "--set", "schedule.sweeps=9",
+        "--set", "schedule.hyper_steps=2",
+        "--set", "schedule.structure_steps=2",
+    ) == 0
+    records = json.loads((out / "partitions.json").read_text())
+    # Five partitions occur; counting the burn-in sweeps too would give
+    # a mass of 4/9, not 3/7.
+    post = records[math.ceil(load_config().schedule.burn_in * len(records)) :]
+    assert len(post) == 7
+    tallies = {}
+    for record in post:
+        partition = tuple(tuple(block) for block in record["partition"])
+        tallies[partition] = tallies.get(partition, 0) + 1
+    modal = max(sorted(tallies), key=lambda p: tallies[p])
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["modal_partition"] == [list(block) for block in modal]
+    assert metrics["modal_mass"] == tallies[modal] / len(post)
 
 
 def _pool_threads():

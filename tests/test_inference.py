@@ -175,6 +175,26 @@ def test_structure_chain_leaves_prior_invariant_on_empty_data():
     assert tv < 0.02
 
 
+@pytest.mark.parametrize("kind", ["structure", "hyper"])
+def test_unfactorable_proposal_is_a_counted_rejection(monkeypatch, kind):
+    import covsearch.inference as inference
+
+    parts = [toy_data(seed=23, n=5), toy_data(seed=24, n=4)]
+    state = new_state(tree(["*", ["SE", 1.5], ["PER", 0.9, 2.0]]), parts, seed=25)
+    before = (state.ast, state.log_likelihoods, state.chols, state.log_prior)
+
+    def unfactorable(ast, data, noise_var):
+        raise NumericError("not positive definite")
+
+    monkeypatch.setattr(inference, "log_marginal_and_chol", unfactorable)
+    step = mh_structure_step if kind == "structure" else mh_hyper_step
+    assert step(state) is state
+    assert state.stats == {f"{kind}_numeric_reject": 1, f"{kind}_reject": 1}
+    assert state.ast is before[0]
+    assert state.log_likelihoods is before[1] and state.chols is before[2]
+    assert state.log_prior == before[3]
+
+
 # ---------------------------------------------------------------------------
 # Hyper MH
 

@@ -236,6 +236,16 @@ def test_cross_matrix_matches_scalar_eval():
                 )
 
 
+def test_scalar_eval_is_the_matrix_entry_exactly():
+    # 300 prior trees x 9 x 6 entries; a tie exercises WN's equality test.
+    xs = np.array([-1.3, 0.0, 0.4, 2.2, 2.2, 4.75, 6.1, 8.0, 9.9])
+    ys = np.array([-0.7, 0.4, 3.3, 5.0, 7.25, 11.0])
+    for ast in random_asts(300, seed=13):
+        mat = cross_cov_matrix(ast, xs, ys)
+        scalars = [[eval_kernel(ast, x, y) for y in ys] for x in xs]
+        assert np.array_equal(mat, scalars), to_nested(ast)
+
+
 def test_matrices_symmetric():
     xs = np.linspace(0.0, 10.0, 9)
     for ast in random_asts(40, seed=13):
