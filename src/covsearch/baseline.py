@@ -9,9 +9,8 @@ variance so it slots into the same plumbing as the GP models.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .gp import Dataset, GpPosterior
+from .gp import Dataset, GpPosterior, cho_solve
 
 
 def _design(xs: np.ndarray) -> np.ndarray:
@@ -23,7 +22,7 @@ def nig_posterior(train: Dataset) -> tuple[np.ndarray, np.ndarray, float, float]
     """Posterior (coef mean, coef precision, shape, rate) from the data."""
     design = _design(train.xs)
     precision = np.eye(2) + design.T @ design
-    coef_mean = cho_solve(cho_factor(precision), design.T @ train.ys)
+    coef_mean = cho_solve(np.linalg.cholesky(precision), design.T @ train.ys)
     shape = 1.0 + 0.5 * len(train)
     rate = 1.0 + 0.5 * float(
         train.ys @ train.ys - coef_mean @ precision @ coef_mean
@@ -45,7 +44,7 @@ def blr_baseline(train: Dataset, probe_xs) -> GpPosterior:
     coef_mean, precision, shape, rate = nig_posterior(train)
     probe_design = _design(probe)
     mean = probe_design @ coef_mean
-    solved = cho_solve(cho_factor(precision), probe_design.T)
+    solved = cho_solve(np.linalg.cholesky(precision), probe_design.T)
     leverage = np.einsum("ij,ji->i", probe_design, solved)
     variance = rate * (1.0 + leverage) / (shape - 1.0)
     return GpPosterior(at=probe, mean=mean, cov=np.diag(variance))

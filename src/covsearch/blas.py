@@ -10,6 +10,10 @@ one of the variables OpenBLAS reads itself keep their choice.
 The thread count is part of the determinism contract: OpenBLAS splits
 its sums differently on more threads, which moves results in the last
 digits.
+
+The same library serves the Cholesky solves (`lapack_solvers`), so a
+command-line process loads numpy and its one OpenBLAS pool, not a second
+numerical stack with a pool of its own.
 """
 
 from __future__ import annotations
@@ -31,6 +35,12 @@ _CONTROLS = (
     "openblas_{}_num_threads64_",
     "openblas_{}_num_threads",
 )
+
+
+# The integer the bound LAPACK takes. Only numpy's scipy-openblas names
+# (`scipy_dpotrs_64_`) are bound, as they say the width: a plain
+# `dpotrs_` may take 32- or 64-bit integers.
+LAPACK_INT = ctypes.c_int64
 
 
 def _mapped_openblas_paths() -> list[str]:
@@ -65,6 +75,35 @@ def openblas_pools() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
                 pools.append((get, put))
                 break
     return pools
+
+
+def lapack_solvers() -> tuple[Callable, Callable] | None:
+    """LAPACK `dpotrs` and `dtrtrs` of a loaded OpenBLAS, or None.
+
+    Both take their arguments the Fortran way: characters and integers
+    (`LAPACK_INT`) by reference, arrays as addresses, then one hidden
+    length per character argument.
+    """
+    ref, address, char, length = (
+        ctypes.POINTER(LAPACK_INT), ctypes.c_void_p, ctypes.c_char_p, ctypes.c_size_t
+    )
+    for path in _mapped_openblas_paths():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        potrs = getattr(lib, "scipy_dpotrs_64_", None)
+        trtrs = getattr(lib, "scipy_dtrtrs_64_", None)
+        if potrs is None or trtrs is None:
+            continue
+        # dpotrs(uplo, n, nrhs, a, lda, b, ldb, info)
+        potrs.argtypes = [char, ref, ref, address, ref, address, ref, ref, length]
+        # dtrtrs(uplo, trans, diag, n, nrhs, a, lda, b, ldb, info)
+        trtrs.argtypes = [char, char, char, ref, ref, address, ref, address, ref, ref,
+                          length, length, length]
+        potrs.restype = trtrs.restype = None
+        return potrs, trtrs
+    return None
 
 
 @contextmanager

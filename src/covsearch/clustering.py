@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .errors import NumericError
 from .gp import DEFAULT_NOISE_VAR, Dataset, log_marginal
@@ -46,8 +45,8 @@ def crp_log_prior(assignments, concentration: float = DEFAULT_CONCENTRATION) -> 
     for cid in values:
         sizes[cid] = sizes.get(cid, 0) + 1
     total = len(sizes) * math.log(concentration)
-    total += sum(gammaln(size) for size in sizes.values())
-    total -= gammaln(concentration + n) - gammaln(concentration)
+    total += sum(math.lgamma(size) for size in sizes.values())
+    total -= math.lgamma(concentration + n) - math.lgamma(concentration)
     return float(total)
 
 
@@ -172,7 +171,7 @@ def reassign_series_step(state: ClusterState, index: int) -> ClusterState:
     if np.all(np.isinf(weights)):
         state.bump("reassign_stuck")
         return state
-    probs = np.exp(weights - logsumexp(weights))
+    probs = np.exp(weights - weights.max())
     probs /= probs.sum()
     choice = int(state.rng.choice(len(candidates), p=probs))
     target, _, target_ll = candidates[choice]

@@ -2,17 +2,25 @@
 
 Observations are modeled as y ~ N(0, K + noise_var * I) where K is the
 covariance matrix of a kernel tree over the inputs. All dense linear
-algebra goes through one Cholesky helper with a fixed jitter ladder.
+algebra goes through one Cholesky helper with a fixed jitter ladder and
+two solves against its factor.
+
+The solves call LAPACK in the OpenBLAS numpy loads, so a command-line
+process runs on that one OpenBLAS pool. Where that library's LAPACK
+cannot be bound (a numpy built on another BLAS, or no /proc to find
+it) they go through scipy, imported here so that its OpenBLAS is loaded
+before the command line sets thread counts.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
+from .blas import LAPACK_INT, lapack_solvers
 from .errors import NumericError
 from .kernels import KernelAst, build_cov_matrix, cross_cov_matrix
 
@@ -22,6 +30,12 @@ DEFAULT_NOISE_VAR = 0.1
 JITTER_LADDER = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+_LAPACK = lapack_solvers()
+if _LAPACK is None:
+    from scipy import linalg as _scipy_linalg
+else:
+    _scipy_linalg = None
 
 
 @dataclass(frozen=True)
@@ -87,6 +101,55 @@ def chol_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     )
 
 
+def cho_solve(factor: np.ndarray, rhs) -> np.ndarray:
+    """Solve (L L^T) x = rhs for a lower Cholesky factor L."""
+    return _solve(factor, rhs, cholesky=True)
+
+
+def solve_lower(factor: np.ndarray, rhs) -> np.ndarray:
+    """Solve L x = rhs for a lower triangular L."""
+    return _solve(factor, rhs, cholesky=False)
+
+
+def _solve(factor, rhs, cholesky: bool) -> np.ndarray:
+    """scipy's input checks, then LAPACK `dpotrs` or `dtrtrs`, or scipy.
+
+    Non-finite input or mismatched shapes raise ValueError, a zero on
+    the factor's diagonal LinAlgError.
+    """
+    factor = np.ascontiguousarray(factor, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    n = factor.shape[0] if factor.ndim == 2 else -1
+    if factor.shape != (n, n) or rhs.ndim not in (1, 2) or rhs.shape[0] != n:
+        raise ValueError(f"cannot solve a {factor.shape} factor against {rhs.shape}")
+    if not (np.isfinite(factor).all() and np.isfinite(rhs).all()):
+        raise ValueError("factor and right-hand side must be finite")
+    if not np.diagonal(factor).all():
+        raise np.linalg.LinAlgError("singular factor: zero on its diagonal")
+    if _scipy_linalg is not None:
+        if cholesky:
+            return _scipy_linalg.cho_solve((factor, True), rhs, check_finite=False)
+        return _scipy_linalg.solve_triangular(
+            factor, rhs, lower=True, check_finite=False
+        )
+    solution = np.array(rhs, order="F")  # LAPACK overwrites it in place
+    if n == 0:
+        return solution
+    dpotrs, dtrtrs = _LAPACK
+    size, count, info = LAPACK_INT(n), LAPACK_INT(solution.size // n), LAPACK_INT(0)
+    ref = ctypes.byref
+    a, b = factor.ctypes.data, solution.ctypes.data
+    # C-order L is Fortran-order U = L^T: L L^T = U^T U, and L x = b is U^T x = b.
+    if cholesky:
+        dpotrs(b"U", ref(size), ref(count), a, ref(size), b, ref(size), ref(info), 1)
+    else:
+        dtrtrs(b"U", b"T", b"N", ref(size), ref(count), a, ref(size), b, ref(size),
+               ref(info), 1, 1, 1)
+    if info.value:
+        raise ValueError(f"LAPACK solve rejected argument {-info.value}")
+    return solution
+
+
 def observed_chol(
     ast: KernelAst, data: Dataset, noise_var: float = DEFAULT_NOISE_VAR
 ) -> np.ndarray:
@@ -109,7 +172,7 @@ def log_marginal_and_chol(
     if n == 0:
         return 0.0, None
     factor = observed_chol(ast, data, noise_var)
-    alpha = solve_triangular(factor, data.ys, lower=True)
+    alpha = solve_lower(factor, data.ys)
     value = (
         -0.5 * float(alpha @ alpha)
         - float(np.sum(np.log(np.diag(factor))))
@@ -152,9 +215,9 @@ def predict(
         if factor is None:
             factor = observed_chol(ast, train, noise_var)
         cross = cross_cov_matrix(ast, train.xs, probe)
-        solved = cho_solve((factor, True), train.ys)
+        solved = cho_solve(factor, train.ys)
         mean = cross.T @ solved
-        half = solve_triangular(factor, cross, lower=True)
+        half = solve_lower(factor, cross)
         cov = prior_cov - half.T @ half
     cov = 0.5 * (cov + cov.T)
     if noisy:

@@ -20,14 +20,13 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.special import expit
 
 from .errors import NumericError, UnsupportedMoveError
 from .gp import (
     DEFAULT_NOISE_VAR,
     Dataset,
     GpPosterior,
+    cho_solve,
     log_marginal_and_chol,
     observed_chol,
     predict,
@@ -282,8 +281,8 @@ def hyper_gradients(state: TraceState) -> dict[tuple[int, int], float]:
         if factor is None:
             continue
         mats = cov_matrices(state.ast, data.xs)
-        alpha = cho_solve((factor, True), data.ys)
-        a_inv = cho_solve((factor, True), np.eye(len(data)))
+        alpha = cho_solve(factor, data.ys)
+        a_inv = cho_solve(factor, np.eye(len(data)))
         adjoints = {1: 0.5 * (np.outer(alpha, alpha) - a_inv)}
         order = sorted(mats)
         for node in order:
@@ -308,7 +307,9 @@ def hyper_gradients(state: TraceState) -> dict[tuple[int, int], float]:
             grads[(node, slot)] += float(np.sum(adjoints[node] * jac))
     for node, slot in sites:
         site = nodes[node].hypers[slot]
-        dh_dt = -float(expit(-site.unconstrained))
+        # scipy's expit(-t), bit for bit; past t = 709 exp overflows and the
+        # result is below 1e-308.
+        dh_dt = -1.0 / (1.0 + math.exp(min(site.unconstrained, 709.0)))
         grads[(node, slot)] *= dh_dt
         grads[(node, slot)] += unconstrained_log_prior_grad(site.unconstrained)
     return grads
@@ -560,8 +561,11 @@ def averaged_predictions(
     per probe set, each as `averaged_prediction` gives it; members are
     averaged in sample order. Every sample a group names is predicted
     once per probe set, from one factorization of its training
-    covariance, and feeds every group that names it. Only each sample's
-    `ast` is read, so hyper trace points and chain states serve as well.
+    covariance, and feeds every group that names it; a sample whose
+    `ast` is the very object of the sample before it (a rejected step
+    keeps the state's tree) reuses that sample's predictives. Only each
+    sample's `ast` is read, so hyper trace points and chain states serve
+    as well.
     """
     if not all(groups):
         raise ValueError("no samples to average over")
@@ -574,15 +578,19 @@ def averaged_predictions(
     for g, group in enumerate(groups):
         for index in group:
             named.setdefault(index, []).append(g)
+    last_ast, moments = None, []
     for index in sorted(named):
         ast = samples[index].ast
-        factor = observed_chol(ast, train, noise_var) if len(train) else None
-        for p, (probe, (_, noisy)) in enumerate(zip(arrays, probes)):
-            post = predict(ast, train, probe, noise_var, noisy, factor)
-            spread = post.cov + np.outer(post.mean, post.mean)
+        if ast is not last_ast:
+            last_ast, moments = ast, []
+            factor = observed_chol(ast, train, noise_var) if len(train) else None
+            for probe, (_, noisy) in zip(arrays, probes):
+                post = predict(ast, train, probe, noise_var, noisy, factor)
+                moments.append((post.mean, post.cov + np.outer(post.mean, post.mean)))
+        for p, (mean, spread) in enumerate(moments):
             for g in named[index]:
                 mean_acc, cov_acc = sums[g][p]
-                mean_acc += post.mean
+                mean_acc += mean
                 cov_acc += spread
     mixtures = []
     for group, row in zip(groups, sums):

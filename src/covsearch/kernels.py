@@ -19,7 +19,6 @@ from enum import Enum
 from typing import Iterator, Mapping
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import NumericError, StructureError
 
@@ -287,6 +286,12 @@ def _leaf(bundle: NodeBundle, xs: np.ndarray, ys: np.ndarray):
     return k, jacobian
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function, with exp taken only of -|z| so it never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def _cross(
     nodes: Mapping[int, NodeBundle],
     node: int,
@@ -307,8 +312,8 @@ def _cross(
             out = left * right
         elif op is Operator.CHANGEPOINT:
             loc = bundle.hypers[0].constrained
-            sx = expit((loc - xs) / CP_DECAY)
-            sy = expit((loc - ys) / CP_DECAY)
+            sx = _sigmoid((loc - xs) / CP_DECAY)
+            sy = _sigmoid((loc - ys) / CP_DECAY)
             out = np.outer(sx, sy) * left + np.outer(1.0 - sx, 1.0 - sy) * right
         else:
             raise StructureError(f"unknown operator {op!r}")

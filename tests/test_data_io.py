@@ -528,6 +528,42 @@ def test_cli_compare_mh_holdout_mse_averages_the_kept_trace_rows(tmp_path):
     assert metrics["methods"]["mh"]["holdout_mse"] == want
 
 
+def test_cli_compare_predicts_each_kept_tree_once(tmp_path, monkeypatch):
+    import covsearch.inference as inference
+
+    calls = []
+    original = inference.predict
+
+    def counting(ast, *args, **kwargs):
+        calls.append(ast)
+        return original(ast, *args, **kwargs)
+
+    monkeypatch.setattr(inference, "predict", counting)
+    out_synth = tmp_path / "synth"
+    assert run_cli(
+        "synth-data", "--kind", "periodic", "--n", "24",
+        "--out", str(out_synth), "--seed", "5",
+    ) == 0
+    out = tmp_path / "cmp"
+    assert run_cli(
+        "compare-inference", "--data", str(out_synth / "periodic.csv"),
+        "--out", str(out), "--seed", "4", "--chains", "2",
+        "--set", "schedule.sweeps=3",
+        "--set", "schedule.hyper_steps=100",
+    ) == 0
+    lines = (out / "hyper_traces_mh.csv").read_text().splitlines()
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    cut = int(load_config().schedule.burn_in * 300)
+    kept = [row for row in rows if row[1] >= cut]
+    kept = kept[:: len(kept) // 200]
+    # A kept row repeats the tree of the row before it when every step
+    # between them was rejected; the gradient lane predicts once.
+    points = [(chain, h0, h1) for chain, _, _, h0, h1 in kept]
+    distinct = 1 + sum(a != b for a, b in zip(points, points[1:]))
+    assert distinct < len(kept)
+    assert len(calls) == distinct + 1
+
+
 def test_cli_cluster_modal_partition_recounts_from_the_partitions(tmp_path):
     rows = ["series_id,x,y"]
     gen = np.random.default_rng(8)
@@ -636,6 +672,32 @@ def test_cli_output_bytes_match_an_explicit_single_blas_thread(tmp_path):
     assert names == sorted(p.name for p in outs[1].iterdir())
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_cli_process_loads_no_scipy(tmp_path):
+    # scipy.linalg costs about 0.3 s of start-up; the command line needs it
+    # only where numpy's OpenBLAS offers no LAPACK to bind.
+    data = tmp_path / "series.csv"
+    write_dataset_csv(data, synth_data("lin_plus_per", 12, np.random.default_rng(3)))
+    script = (
+        "import sys\n"
+        "from covsearch import cli, gp\n"
+        f"code = cli.main(['fit', '--data', {str(data)!r}, '--out', {str(tmp_path / 'out')!r},"
+        " '--set', 'schedule.sweeps=2', '--set', 'schedule.hyper_steps=2',"
+        " '--set', 'schedule.structure_steps=2'])\n"
+        "print(code, gp._LAPACK is not None, 'scipy' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(covsearch.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, bound, scipy_loaded = proc.stdout.split()
+    assert code == "0"
+    assert scipy_loaded == ("False" if bound == "True" else "True")
 
 
 def test_cli_exit_codes(tmp_path):

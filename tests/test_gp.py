@@ -4,18 +4,22 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import stats
 
+from covsearch import gp
 from covsearch.errors import NumericError
 from covsearch.gp import (
     DEFAULT_NOISE_VAR,
     JITTER_LADDER,
     Dataset,
     GpPosterior,
+    cho_solve,
     chol_with_jitter,
     log_marginal,
     predict,
     sample_predictive,
+    solve_lower,
 )
 from covsearch.kernels import build_cov_matrix
 
@@ -126,6 +130,64 @@ def test_chol_rejects_non_finite():
     mat[0, 1] = np.nan
     with pytest.raises(NumericError):
         chol_with_jitter(mat)
+
+
+# ---------------------------------------------------------------------------
+# Solves against a Cholesky factor
+
+
+def _factor_and_rhs(n, seed):
+    gen = np.random.default_rng(seed)
+    a = gen.standard_normal((n, n))
+    factor = np.linalg.cholesky(a @ a.T + n * np.eye(n))
+    return factor, [gen.standard_normal(n), gen.standard_normal((n, 3)), np.eye(n)]
+
+
+@pytest.mark.parametrize("n", [20, 100, 160, 300])
+def test_solves_equal_scipy_bit_for_bit(n):
+    factor, rhs = _factor_and_rhs(n, n)
+    for b in rhs:
+        assert np.array_equal(cho_solve(factor, b), scipy.linalg.cho_solve((factor, True), b))
+        assert np.array_equal(
+            solve_lower(factor, b), scipy.linalg.solve_triangular(factor, b, lower=True)
+        )
+
+
+def test_solves_leave_their_inputs_alone():
+    factor, (b, *_) = _factor_and_rhs(20, 1)
+    kept = factor.copy(), b.copy()
+    cho_solve(factor, b)
+    solve_lower(factor, b)
+    assert np.array_equal(factor, kept[0]) and np.array_equal(b, kept[1])
+
+
+@pytest.mark.parametrize("solve", [cho_solve, solve_lower])
+def test_solves_reject_bad_input(solve):
+    factor, (b, *_) = _factor_and_rhs(20, 2)
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = factor.copy()
+        broken[7, 3] = bad
+        with pytest.raises(ValueError):
+            solve(broken, b)
+        with pytest.raises(ValueError):
+            solve(factor, np.where(np.arange(20) == 5, bad, b))
+    singular = factor.copy()
+    singular[4, 4] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        solve(singular, b)
+    with pytest.raises(ValueError):
+        solve(factor, b[:-1])
+    with pytest.raises(ValueError):
+        solve(factor[:, :-1], b)
+
+
+def test_scipy_fallback_gives_the_same_arrays(monkeypatch):
+    factor, rhs = _factor_and_rhs(100, 3)
+    lapack = [(cho_solve(factor, b), solve_lower(factor, b)) for b in rhs]
+    monkeypatch.setattr(gp, "_scipy_linalg", scipy.linalg)
+    for b, (chol, lower) in zip(rhs, lapack):
+        assert np.array_equal(cho_solve(factor, b), chol)
+        assert np.array_equal(solve_lower(factor, b), lower)
 
 
 # ---------------------------------------------------------------------------

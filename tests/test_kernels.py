@@ -1,6 +1,7 @@
 """Kernel AST construction, evaluation, labeling, and serialization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,36 @@ def test_changepoint_gate_formula():
     sy = expit((loc - y) / CP_DECAY)
     want = sx * sy * 1.0 + (1 - sx) * (1 - sy) * 3.0
     assert eval_kernel(k, x, y) == pytest.approx(want, rel=1e-12)
+
+
+def test_changepoint_sigmoid_matches_scipy_expit():
+    from scipy.special import expit
+
+    from covsearch.kernels import _sigmoid
+
+    # Both evaluations round, each up to about 2.4 ulp from the exact
+    # logistic on (-40, -1), so they may sit a few ulp apart.
+    z = np.linspace(-700.0, 700.0, 1_400_001)
+    want = expit(z)
+    assert np.all(np.abs(_sigmoid(z) - want) <= 4 * np.spacing(want))
+    # Past exp's range scipy's 1 / (1 + exp(-z)) rounds to 0 or 1.
+    tails = np.array([-1e5, -800.0, 745.2, 800.0, 1e5])
+    assert np.array_equal(_sigmoid(tails), [0.0, 0.0, 1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("start", [0.0, 2e4])
+def test_far_changepoint_builds_without_warnings(start):
+    # The location sits 1e4 to the right of the inputs, or to their left.
+    xs = np.linspace(start, start + 10.0, 7)
+    k = tree(["CP", 1e4, ["C", 4.0], ["C", 9.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mat = build_cov_matrix(k, xs)
+        cross = cross_cov_matrix(k, xs, xs[:3])
+    # Left of the location the first operand governs, right of it the second.
+    want = 4.0 if start < 1e4 else 9.0
+    assert np.array_equal(mat, np.full((7, 7), want))
+    assert np.array_equal(cross, np.full((7, 3), want))
 
 
 # ---------------------------------------------------------------------------
