@@ -20,7 +20,7 @@ from .errors import NumericError
 from .gp import DEFAULT_NOISE_VAR, Dataset, log_marginal
 from .inference import ScheduleConfig, TraceState, mh_hyper_step, mh_structure_step
 from .kernels import KernelAst, structure_label
-from .prior import PriorConfig, ast_log_prior, sample_ast
+from .prior import PriorConfig, sample_ast
 
 DEFAULT_CONCENTRATION = 0.5
 
@@ -115,25 +115,6 @@ class ClusterState:
         return sorted(i for i, c in self.assignments.items() if c == cid)
 
 
-def joint_log_prob(state: ClusterState) -> float:
-    """CRP prior plus tree priors plus member likelihoods, from scratch."""
-    total = crp_log_prior(state.assignments, state.concentration)
-    for cid, ast in state.cluster_asts.items():
-        total += ast_log_prior(state.prior, ast)
-        for index in state.members(cid):
-            total += log_marginal(ast, state.series[index], state.noise_var)
-    return total
-
-
-def cached_joint_log_prob(state: ClusterState) -> float:
-    """Same quantity assembled from the per-member likelihood cache."""
-    total = crp_log_prior(state.assignments, state.concentration)
-    for ast in state.cluster_asts.values():
-        total += ast_log_prior(state.prior, ast)
-    total += sum(state.member_lls.values())
-    return float(total)
-
-
 def _safe_ll(state: ClusterState, ast: KernelAst, index: int) -> float:
     try:
         return log_marginal(ast, state.series[index], state.noise_var)
@@ -161,11 +142,16 @@ def reassign_series_step(state: ClusterState, index: int) -> ClusterState:
         fresh_ast = state.cluster_asts[current]
     else:
         fresh_ast = sample_ast(state.prior, state.rng)
+    # The current tree's score on this series is held, not recomputed.
+    held_ll = state.member_lls[index]
     candidates: list[tuple[int | None, float, float]] = []
     for cid, size in sorted(sizes.items()):
-        ll = _safe_ll(state, state.cluster_asts[cid], index)
+        if cid == current:
+            ll = held_ll
+        else:
+            ll = _safe_ll(state, state.cluster_asts[cid], index)
         candidates.append((cid, math.log(size) + ll, ll))
-    fresh_ll = _safe_ll(state, fresh_ast, index)
+    fresh_ll = held_ll if was_singleton else _safe_ll(state, fresh_ast, index)
     candidates.append((None, math.log(state.concentration) + fresh_ll, fresh_ll))
     weights = np.array([w for _, w, _ in candidates])
     if np.all(np.isinf(weights)):

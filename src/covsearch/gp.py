@@ -155,23 +155,30 @@ def observed_chol(
 ) -> np.ndarray:
     """Lower Cholesky factor of the tree's covariance on `data` plus noise."""
     cov = build_cov_matrix(ast, data.xs)
-    cov[np.diag_indices_from(cov)] += noise_var
+    cov.flat[:: len(data) + 1] += noise_var
     factor, _ = chol_with_jitter(cov)
     return factor
 
 
 def log_marginal_and_chol(
-    ast: KernelAst, data: Dataset, noise_var: float = DEFAULT_NOISE_VAR
+    ast: KernelAst,
+    data: Dataset,
+    noise_var: float = DEFAULT_NOISE_VAR,
+    factor: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray | None]:
     """Log marginal likelihood plus the Cholesky factor it used.
 
     The factor is reused by callers that go on to predict or to take
-    gradient steps. An empty dataset scores 0 with no factor.
+    gradient steps. `factor` is `observed_chol(ast, data, noise_var)`
+    when the caller holds it already, for instance from another dataset
+    on the same inputs; it is then returned as it is. An empty dataset
+    scores 0 with no factor.
     """
     n = len(data)
     if n == 0:
         return 0.0, None
-    factor = observed_chol(ast, data, noise_var)
+    if factor is None:
+        factor = observed_chol(ast, data, noise_var)
     alpha = solve_lower(factor, data.ys)
     value = (
         -0.5 * float(alpha @ alpha)

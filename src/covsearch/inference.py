@@ -92,7 +92,8 @@ class TraceState:
     `datasets` may hold several series; the likelihood is then the sum
     of independent GP marginals, which is what cluster moves need.
     `log_likelihoods` and `chols` hold each dataset's marginal and the
-    Cholesky factor it used; `chols` is empty while no factor is known.
+    Cholesky factor it used; `chols` is empty while no factor is known,
+    and holds one factor object for datasets whose inputs are equal.
     """
 
     ast: KernelAst
@@ -158,8 +159,17 @@ class TraceState:
 def _logliks(
     ast: KernelAst, datasets: Sequence[Dataset], noise_var: float
 ) -> tuple[tuple[float, ...], tuple]:
-    """Each dataset's log marginal under `ast`, and the factors used."""
-    scored = [log_marginal_and_chol(ast, data, noise_var) for data in datasets]
+    """Each dataset's log marginal under `ast`, and the factors used.
+
+    Datasets whose inputs are equal bit for bit share one factor object:
+    the covariance depends on the inputs alone, so it is factored once.
+    """
+    by_grid: dict[bytes, np.ndarray | None] = {}
+    scored = []
+    for data in datasets:
+        grid = data.xs.tobytes()
+        scored.append(log_marginal_and_chol(ast, data, noise_var, by_grid.get(grid)))
+        by_grid[grid] = scored[-1][1]
     return tuple(value for value, _ in scored), tuple(factor for _, factor in scored)
 
 

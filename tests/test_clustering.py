@@ -9,17 +9,15 @@ from covsearch.clustering import (
     ClusterSample,
     ClusterState,
     canonical_partition,
-    cached_joint_log_prob,
     cluster_sweep,
     crp_log_prior,
-    joint_log_prob,
     modal_partition,
     reassign_series_step,
     run_cluster_schedule,
 )
-from covsearch.gp import Dataset
+from covsearch.gp import Dataset, log_marginal
 from covsearch.inference import ScheduleConfig
-from covsearch.prior import PriorConfig
+from covsearch.prior import PriorConfig, ast_log_prior
 
 from conftest import set_partitions, toy_data
 
@@ -28,6 +26,25 @@ EMPTY = Dataset(np.empty(0), np.empty(0))
 
 def partition_to_assignments(partition):
     return {i: cid for cid, block in enumerate(partition) for i in block}
+
+
+def joint_log_prob(state: ClusterState) -> float:
+    """CRP prior plus tree priors plus member likelihoods, from scratch."""
+    total = crp_log_prior(state.assignments, state.concentration)
+    for cid, ast in state.cluster_asts.items():
+        total += ast_log_prior(state.prior, ast)
+        for index in state.members(cid):
+            total += log_marginal(ast, state.series[index], state.noise_var)
+    return total
+
+
+def cached_joint_log_prob(state: ClusterState) -> float:
+    """Same quantity assembled from the per-member likelihood cache."""
+    total = crp_log_prior(state.assignments, state.concentration)
+    for ast in state.cluster_asts.values():
+        total += ast_log_prior(state.prior, ast)
+    total += sum(state.member_lls.values())
+    return float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -180,24 +197,36 @@ def test_sweep_scores_each_proposal_and_candidate_once(monkeypatch):
     import covsearch.gp as gp
     import covsearch.inference as inference
 
-    series = [toy_data(seed=s, n=6) for s in (15, 16, 17, 18)]
+    # Series 0-2 share one input grid; series 3 has its own.
+    grid = toy_data(seed=15, n=6).xs
+    series = [Dataset(grid, toy_data(seed=s, n=6).ys) for s in (15, 16, 17)]
+    series.append(toy_data(seed=18, n=6))
     state = ClusterState.init(series, np.random.default_rng(19))
     cfg = ScheduleConfig(hyper_steps=3, structure_steps=3)
     cluster_sweep(state, cfg)
 
-    scored = []
-    score = gp.log_marginal_and_chol
+    scored, factored = [], []
+    score, factor_of = gp.log_marginal_and_chol, gp.observed_chol
 
-    def counted(ast, data, noise_var):
+    def counted(ast, data, noise_var, *factor):
         scored.append((ast, data))
-        return score(ast, data, noise_var)
+        return score(ast, data, noise_var, *factor)
 
-    expected = {"scores": 0}
+    def counted_factor(ast, data, noise_var):
+        factored.append((ast, data.xs.tobytes()))
+        return factor_of(ast, data, noise_var)
+
+    expected = {"scores": 0, "factors": 0}
     reassign = clustering.reassign_series_step
 
     def counted_reassign(state, index):
+        # The current tree's score is held: one new score for each other
+        # cluster, plus a prior-drawn fresh tree unless the series is alone.
+        current = state.assignments[index]
         others = {c for i, c in state.assignments.items() if i != index}
-        expected["scores"] += len(others) + 1
+        new = len(others - {current}) + (current in others)
+        expected["scores"] += new
+        expected["factors"] += new
         return reassign(state, index)
 
     def counted_move(move):
@@ -205,11 +234,13 @@ def test_sweep_scores_each_proposal_and_candidate_once(monkeypatch):
             move(trace, *args)
             assert not any(key.endswith("numeric_reject") for key in trace.stats)
             expected["scores"] += len(trace.datasets)
+            expected["factors"] += len({d.xs.tobytes() for d in trace.datasets})
             return trace
 
         return run
 
     monkeypatch.setattr(gp, "log_marginal_and_chol", counted)
+    monkeypatch.setattr(gp, "observed_chol", counted_factor)
     monkeypatch.setattr(inference, "log_marginal_and_chol", counted)
     monkeypatch.setattr(clustering, "reassign_series_step", counted_reassign)
     monkeypatch.setattr(clustering, "mh_hyper_step", counted_move(clustering.mh_hyper_step))
@@ -218,7 +249,9 @@ def test_sweep_scores_each_proposal_and_candidate_once(monkeypatch):
     )
     cluster_sweep(state, cfg)
     assert len(scored) == expected["scores"]
+    assert len(factored) == expected["factors"] < len(scored)
     assert len({(id(ast), id(data)) for ast, data in scored}) == len(scored)
+    assert len({(id(ast), xs) for ast, xs in factored}) == len(factored)
     for index, cid in state.assignments.items():
         ast = state.cluster_asts[cid]
         assert state.member_lls[index] == score(ast, series[index], state.noise_var)[0]

@@ -76,6 +76,34 @@ def test_trace_state_accepts_single_or_many_datasets():
     assert two.log_likelihood == pytest.approx(want, rel=1e-12)
 
 
+def test_datasets_on_one_grid_share_one_factor(monkeypatch):
+    import covsearch.gp as gp
+
+    ast = tree(["+", ["SE", 1.5], ["PER", 0.9, 2.0]])
+    grid = toy_data(seed=4, n=5).xs
+    series = [
+        Dataset(grid, toy_data(seed=5, n=5).ys),
+        toy_data(seed=6, n=5),
+        Dataset(grid.copy(), toy_data(seed=7, n=5).ys),
+    ]
+    factored = []
+    factor_of = gp.observed_chol
+
+    def counted(ast, data, noise_var):
+        factored.append(data)
+        return factor_of(ast, data, noise_var)
+
+    monkeypatch.setattr(gp, "observed_chol", counted)
+    state = new_state(ast, series)
+    assert len(factored) == 2
+    assert factored[0] is series[0] and factored[1] is series[1]
+    assert state.chols[0] is state.chols[2]
+    assert state.chols[0] is not state.chols[1]
+    for data, value, factor in zip(series, state.log_likelihoods, state.chols):
+        assert value == log_marginal(ast, data)
+        assert np.array_equal(factor, factor_of(ast, data, 0.1))
+
+
 def test_trace_state_caches_stay_coherent():
     state = new_state(sample_ast(PriorConfig(), np.random.default_rng(8)), toy_data(seed=3, n=6), seed=9)
     for _ in range(60):
@@ -183,7 +211,7 @@ def test_unfactorable_proposal_is_a_counted_rejection(monkeypatch, kind):
     state = new_state(tree(["*", ["SE", 1.5], ["PER", 0.9, 2.0]]), parts, seed=25)
     before = (state.ast, state.log_likelihoods, state.chols, state.log_prior)
 
-    def unfactorable(ast, data, noise_var):
+    def unfactorable(ast, data, noise_var, factor=None):
         raise NumericError("not positive definite")
 
     monkeypatch.setattr(inference, "log_marginal_and_chol", unfactorable)
