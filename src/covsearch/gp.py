@@ -15,6 +15,7 @@ before the command line sets thread counts.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .blas import LAPACK_INT, lapack_solvers
 from .errors import NumericError
-from .kernels import KernelAst, build_cov_matrix, cross_cov_matrix
+from .kernels import KernelAst, build_cov_matrix, cross_cov_matrix, gap_table
 
 DEFAULT_NOISE_VAR = 0.1
 
@@ -40,14 +41,18 @@ else:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Paired observation vectors, validated and stored as float arrays."""
+    """Paired observation vectors, validated and stored as float arrays.
+
+    The arrays are the dataset's own read-only copies, so the gap table
+    it keeps of its inputs always matches them.
+    """
 
     xs: np.ndarray
     ys: np.ndarray
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        ys = np.asarray(self.ys, dtype=float)
+        xs = np.array(self.xs, dtype=float)
+        ys = np.array(self.ys, dtype=float)
         if xs.ndim != 1 or ys.ndim != 1:
             raise ValueError("xs and ys must be one dimensional")
         if xs.shape != ys.shape:
@@ -58,11 +63,22 @@ class Dataset:
             np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))
         ):
             raise ValueError("dataset contains non-finite values")
+        xs.flags.writeable = False
+        ys.flags.writeable = False
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
     def __len__(self) -> int:
         return int(self.xs.size)
+
+    @functools.cached_property
+    def gaps(self) -> tuple[np.ndarray, np.ndarray]:
+        """`gap_table(xs, xs)`, made on first use and kept with the dataset.
+
+        Every covariance and Jacobian built on the dataset's inputs
+        gathers its stationary leaves through it.
+        """
+        return gap_table(self.xs, self.xs)
 
 
 @dataclass(frozen=True)
@@ -154,7 +170,7 @@ def observed_chol(
     ast: KernelAst, data: Dataset, noise_var: float = DEFAULT_NOISE_VAR
 ) -> np.ndarray:
     """Lower Cholesky factor of the tree's covariance on `data` plus noise."""
-    cov = build_cov_matrix(ast, data.xs)
+    cov = build_cov_matrix(ast, data.xs, gaps=data.gaps)
     cov.flat[:: len(data) + 1] += noise_var
     factor, _ = chol_with_jitter(cov)
     return factor

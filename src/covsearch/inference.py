@@ -290,7 +290,7 @@ def hyper_gradients(state: TraceState) -> dict[tuple[int, int], float]:
     for data, factor in zip(state.datasets, state.chols):
         if factor is None:
             continue
-        mats = cov_matrices(state.ast, data.xs)
+        mats = cov_matrices(state.ast, data.xs, data.gaps)
         alpha = cho_solve(factor, data.ys)
         a_inv = cho_solve(factor, np.eye(len(data)))
         adjoints = {1: 0.5 * (np.outer(alpha, alpha) - a_inv)}
@@ -312,7 +312,7 @@ def hyper_gradients(state: TraceState) -> dict[tuple[int, int], float]:
         jacobians: dict[int, list[np.ndarray]] = {}
         for node, slot in sites:
             if node not in jacobians:
-                jacobians[node] = leaf_cov_grads(nodes[node], data.xs)
+                jacobians[node] = leaf_cov_grads(nodes[node], data.xs, data.gaps)
             jac = jacobians[node][slot]
             grads[(node, slot)] += float(np.sum(adjoints[node] * jac))
     for node, slot in sites:

@@ -247,43 +247,71 @@ def with_hyper(ast: KernelAst, node: int, slot: int, site: HyperSite) -> KernelA
 # Covariance semantics
 
 
-def _leaf(bundle: NodeBundle, xs: np.ndarray, ys: np.ndarray):
+def gap_table(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values of |x_i - y_j|, and each pair's index among them.
+
+    Returns the gaps and their (len(xs), len(ys)) index, both read-only.
+    A build given this table evaluates SE, PER and WN once per distinct
+    gap instead of once per pair (see `_leaf`). Making it sorts all
+    n * m gaps, which costs about as much as two full PER builds, and
+    its index is as large as the covariance; so it belongs with inputs
+    that are built on many times, as each `Dataset` keeps the table of
+    its own inputs.
+    """
+    xs, ys = _as_inputs(xs), _as_inputs(ys)
+    gaps, index = np.unique(np.abs(np.subtract.outer(xs, ys)), return_inverse=True)
+    index = index.reshape(xs.size, ys.size)
+    gaps.flags.writeable = False
+    index.flags.writeable = False
+    return gaps, index
+
+
+def _leaf(bundle: NodeBundle, xs: np.ndarray, ys: np.ndarray, gaps=None):
     """The meaning of each base kernel, written once.
 
     Returns the leaf's covariance between two input vectors, and a
     callable giving d cov / d h for each constrained hyper, built on
     request from the same intermediates.
+
+    SE, PER and WN depend on x and y only through d = |x - y|. With a
+    `gap_table` of the inputs they are evaluated once per distinct gap
+    and gathered into the n x m matrix; without one, on every pair. The
+    two give the same bits, each entry being the same IEEE operations on
+    the same double: d * d equals (x - y) * (x - y) exactly, and for
+    finite inputs x == y exactly when d == 0, so WN's ties are the zero
+    gaps.
     """
     h = [site.constrained for site in bundle.hypers]
     kind = bundle.kernel
-    if kind is BaseKernel.WN:
-        ties = np.equal.outer(xs, ys).astype(float)
-        return h[0] * ties, lambda: [ties]
     if kind is BaseKernel.C:
         shape = (xs.size, ys.size)
         return np.full(shape, h[0]), lambda: [np.ones(shape)]
     if kind is BaseKernel.LIN:
         value = np.outer(xs - h[0], ys - h[0])
         return value, lambda: [np.add.outer(h[0] - xs, h[0] - ys)]
+    d, index = (np.abs(np.subtract.outer(xs, ys)), None) if gaps is None else gaps
+
+    def full(per_gap: np.ndarray) -> np.ndarray:
+        return per_gap if index is None else per_gap.take(index)
+
+    if kind is BaseKernel.WN:
+        ties = (d == 0.0).astype(float)
+        return full(h[0] * ties), lambda: [full(ties)]
     if kind is BaseKernel.SE:
-        d = np.subtract.outer(xs, ys)
         k = np.exp(-0.5 * d * d / (h[0] * h[0]))
-        return k, lambda: [k * d**2 / h[0] ** 3]
+        return full(k), lambda: [full(k * d**2 / h[0] ** 3)]
     if kind is not BaseKernel.PER:
         raise StructureError(f"unknown base kernel {kind!r}")
-    s = np.sin(np.pi * np.abs(np.subtract.outer(xs, ys)) / h[1])
+    ang = np.pi * d / h[1]
+    s = np.sin(ang)
     k = np.exp(-2.0 * s * s / (h[0] * h[0]))
 
     def jacobian():
-        # Built only on request: naming `r` and `ang` on the value path
-        # costs two more n x n arrays per covariance build.
-        r = np.abs(np.subtract.outer(xs, ys))
-        ang = np.pi * r / h[1]
         dk_dh = k * 4.0 * s * s / h[0] ** 3
-        dk_dp = k * (2.0 * np.pi * r / (h[0] ** 2 * h[1] ** 2)) * np.sin(2.0 * ang)
-        return [dk_dh, dk_dp]
+        dk_dp = k * (2.0 * np.pi * d / (h[0] ** 2 * h[1] ** 2)) * np.sin(2.0 * ang)
+        return [full(dk_dh), full(dk_dp)]
 
-    return k, jacobian
+    return full(k), jacobian
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -297,14 +325,15 @@ def _cross(
     node: int,
     xs: np.ndarray,
     ys: np.ndarray,
+    gaps,
     sink: dict[int, np.ndarray] | None = None,
 ) -> np.ndarray:
     bundle = nodes[node]
     if not bundle.is_branch:
-        out = _leaf(bundle, xs, ys)[0]
+        out = _leaf(bundle, xs, ys, gaps)[0]
     else:
-        left = _cross(nodes, 2 * node, xs, ys, sink)
-        right = _cross(nodes, 2 * node + 1, xs, ys, sink)
+        left = _cross(nodes, 2 * node, xs, ys, gaps, sink)
+        right = _cross(nodes, 2 * node + 1, xs, ys, gaps, sink)
         op = bundle.operator
         if op is Operator.SUM:
             out = left + right
@@ -333,19 +362,36 @@ def _as_inputs(xs) -> np.ndarray:
     return arr
 
 
-def build_cov_matrix(ast: KernelAst, xs, node: int = 1) -> np.ndarray:
-    """Dense covariance matrix of the (sub)tree over a vector of inputs."""
+def _check_gaps(gaps, xs: np.ndarray, ys: np.ndarray) -> None:
+    if gaps is not None and gaps[1].shape != (xs.size, ys.size):
+        raise ValueError(
+            f"gap table of shape {gaps[1].shape} for {xs.size} x {ys.size} inputs"
+        )
+
+
+def build_cov_matrix(ast: KernelAst, xs, node: int = 1, gaps=None) -> np.ndarray:
+    """Dense covariance matrix of the (sub)tree over a vector of inputs.
+
+    `gaps` is `gap_table(xs, xs)` when the caller keeps it; the matrix
+    is the same, built faster.
+    """
     if node not in ast.nodes:
         raise StructureError(f"no node {node} in tree")
     arr = _as_inputs(xs)
-    return _cross(ast.nodes, node, arr, arr)
+    _check_gaps(gaps, arr, arr)
+    return _cross(ast.nodes, node, arr, arr, gaps)
 
 
-def cross_cov_matrix(ast: KernelAst, xs, ys, node: int = 1) -> np.ndarray:
-    """Covariance between two input vectors, shape (len(xs), len(ys))."""
+def cross_cov_matrix(ast: KernelAst, xs, ys, node: int = 1, gaps=None) -> np.ndarray:
+    """Covariance between two input vectors, shape (len(xs), len(ys)).
+
+    `gaps` is `gap_table(xs, ys)`, or None, as in `build_cov_matrix`.
+    """
     if node not in ast.nodes:
         raise StructureError(f"no node {node} in tree")
-    return _cross(ast.nodes, node, _as_inputs(xs), _as_inputs(ys))
+    xs, ys = _as_inputs(xs), _as_inputs(ys)
+    _check_gaps(gaps, xs, ys)
+    return _cross(ast.nodes, node, xs, ys, gaps)
 
 
 def eval_kernel(ast: KernelAst, x: float, y: float, node: int = 1) -> float:
@@ -353,24 +399,29 @@ def eval_kernel(ast: KernelAst, x: float, y: float, node: int = 1) -> float:
     return float(cross_cov_matrix(ast, [x], [y], node)[0, 0])
 
 
-def cov_matrices(ast: KernelAst, xs) -> dict[int, np.ndarray]:
+def cov_matrices(ast: KernelAst, xs, gaps=None) -> dict[int, np.ndarray]:
     """Covariance matrices of every subtree at once, keyed by node index.
 
     One pass shares the leaf work with the root matrix; the reverse-mode
-    gradient needs all of these.
+    gradient needs all of these. `gaps` is as in `build_cov_matrix`.
     """
     arr = _as_inputs(xs)
+    _check_gaps(gaps, arr, arr)
     sink: dict[int, np.ndarray] = {}
-    _cross(ast.nodes, 1, arr, arr, sink)
+    _cross(ast.nodes, 1, arr, arr, gaps, sink)
     return sink
 
 
-def leaf_cov_grads(bundle: NodeBundle, xs: np.ndarray) -> list[np.ndarray]:
-    """d cov / d h for each constrained hyper of a leaf, as dense matrices."""
+def leaf_cov_grads(bundle: NodeBundle, xs: np.ndarray, gaps=None) -> list[np.ndarray]:
+    """d cov / d h for each constrained hyper of a leaf, as dense matrices.
+
+    `gaps` is as in `build_cov_matrix`.
+    """
     if bundle.is_branch:
         raise StructureError("leaf_cov_grads called on a branch node")
     xs = np.asarray(xs, dtype=float)
-    _, jacobian = _leaf(bundle, xs, xs)
+    _check_gaps(gaps, xs, xs)
+    _, jacobian = _leaf(bundle, xs, xs, gaps)
     return jacobian()
 
 

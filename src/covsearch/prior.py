@@ -191,6 +191,10 @@ def unconstrained_log_prior(ast: KernelAst) -> float:
 
     This is the hyper prior in the coordinates gradient steps move in;
     it differs from the Exponential form by the Jacobian of the link.
+    The library needs only its gradient. It stays public as the
+    reference that gradient is tested against: directly in test_prior,
+    and inside the finite-difference objective of the gradient sweep in
+    test_inference and test_acceptance (criterion 01).
     """
     total = 0.0
     for bundle in ast.nodes.values():

@@ -58,6 +58,39 @@ def test_dataset_len_and_empty():
 # Log marginal likelihood
 
 
+def test_dataset_keeps_read_only_copies_and_one_gap_table():
+    xs = np.array([0.0, 1.0, 2.5, 4.0])
+    ys = np.array([0.3, -0.2, 0.8, 0.1])
+    data = Dataset(xs, ys)
+    xs[1] = 9.0
+    ys[1] = 9.0
+    assert data.xs[1] == 1.0 and data.ys[1] == -0.2
+    with pytest.raises(ValueError):
+        data.xs[0] = 5.0
+    with pytest.raises(ValueError):
+        data.ys[0] = 5.0
+    assert data.gaps is data.gaps
+    gaps, index = data.gaps
+    assert np.array_equal(gaps[index], np.abs(np.subtract.outer(data.xs, data.xs)))
+
+
+def test_a_dataset_sorts_its_gaps_once(monkeypatch):
+    made = []
+    table = gp.gap_table
+
+    def counted(xs, ys):
+        made.append(xs)
+        return table(xs, ys)
+
+    monkeypatch.setattr(gp, "gap_table", counted)
+    ast = tree(["+", ["PER", 0.9, 2.3], ["*", ["SE", 1.4], ["WN", 0.3]]])
+    data = toy_data(seed=5, n=12)
+    first = log_marginal(ast, data)
+    assert log_marginal(ast, data) == first
+    assert first == pytest.approx(dense_log_marginal(ast, data), rel=1e-10)
+    assert len(made) == 1
+
+
 def test_log_marginal_matches_dense_oracle():
     gen = np.random.default_rng(20)
     for ast in random_asts(60, seed=21):

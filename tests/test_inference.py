@@ -348,13 +348,35 @@ def test_gradient_sweep_builds_each_leaf_jacobian_once(monkeypatch):
     built = []
     jacobians = inference.leaf_cov_grads
 
-    def counted(bundle, xs):
+    def counted(bundle, xs, *gaps):
         built.append(bundle)
-        return jacobians(bundle, xs)
+        return jacobians(bundle, xs, *gaps)
 
     monkeypatch.setattr(inference, "leaf_cov_grads", counted)
     assert hyper_gradients(state) == want
     assert len(built) == 3 * len(parts)
+
+
+def test_gradient_sweep_gathers_through_each_dataset_gap_table(monkeypatch):
+    import covsearch.kernels as kernels
+
+    ast = tree(["+", ["PER", 0.91, 2.0], ["*", ["SE", 1.51], ["WN", 0.3]]])
+    parts = [toy_data(seed=21, n=5), toy_data(seed=22, n=4)]
+    state = new_state(ast, parts)
+    want = hyper_gradients(state)
+    tables = []
+    leaf = kernels._leaf
+
+    def seen(bundle, xs, ys, gaps=None):
+        tables.append(gaps)
+        return leaf(bundle, xs, ys, gaps)
+
+    monkeypatch.setattr(kernels, "_leaf", seen)
+    assert hyper_gradients(state) == want
+    # Per dataset: three leaves' covariances, then the leaf Jacobians.
+    per_dataset = len(tables) // len(parts)
+    assert per_dataset > 3
+    assert [id(t) for t in tables] == [id(d.gaps) for d in parts for _ in range(per_dataset)]
 
 
 def test_gradients_of_a_state_started_from_known_scores():

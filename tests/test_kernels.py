@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from covsearch import kernels
 from covsearch.errors import StructureError
 from covsearch.kernels import (
     CP_DECAY,
@@ -371,6 +372,120 @@ def test_wn_grad_is_the_tie_pattern():
     (grad,) = leaf_cov_grads(bundle, xs)
     want = np.equal.outer(xs, xs).astype(float)
     assert np.array_equal(grad, want)
+
+
+# ---------------------------------------------------------------------------
+# Stationary leaves on distinct gaps: exact against full-matrix formulas
+
+
+def _dense_leaf(bundle, xs, ys):
+    """Each leaf formula evaluated on all n x m pairs, as `_leaf` once was."""
+    h = [site.constrained for site in bundle.hypers]
+    kind = bundle.kernel
+    if kind is BaseKernel.WN:
+        ties = np.equal.outer(xs, ys).astype(float)
+        return h[0] * ties, lambda: [ties]
+    if kind is BaseKernel.C:
+        shape = (xs.size, ys.size)
+        return np.full(shape, h[0]), lambda: [np.ones(shape)]
+    if kind is BaseKernel.LIN:
+        value = np.outer(xs - h[0], ys - h[0])
+        return value, lambda: [np.add.outer(h[0] - xs, h[0] - ys)]
+    if kind is BaseKernel.SE:
+        d = np.subtract.outer(xs, ys)
+        k = np.exp(-0.5 * d * d / (h[0] * h[0]))
+        return k, lambda: [k * d**2 / h[0] ** 3]
+    r = np.abs(np.subtract.outer(xs, ys))
+    s = np.sin(np.pi * r / h[1])
+    k = np.exp(-2.0 * s * s / (h[0] * h[0]))
+
+    def jacobian():
+        ang = np.pi * r / h[1]
+        dk_dh = k * 4.0 * s * s / h[0] ** 3
+        dk_dp = k * (2.0 * np.pi * r / (h[0] ** 2 * h[1] ** 2)) * np.sin(2.0 * ang)
+        return [dk_dh, dk_dp]
+
+    return k, jacobian
+
+
+def _builds(ast, xs, ys, gaps=None):
+    """Every matrix the public builders give for one tree and input pair."""
+    out = [cross_cov_matrix(ast, xs, ys, gaps=gaps)]
+    if ys is xs:
+        out.append(build_cov_matrix(ast, xs, gaps=gaps))
+        mats = cov_matrices(ast, xs, gaps)
+        out.extend(mats[node] for node in sorted(mats))
+        for node in sorted(ast.nodes):
+            if not ast.nodes[node].is_branch:
+                out.extend(leaf_cov_grads(ast.nodes[node], xs, gaps))
+    return out
+
+
+def _dense_builds(ast, xs, ys, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_leaf", lambda b, xs, ys, gaps: _dense_leaf(b, xs, ys))
+        return _builds(ast, xs, ys)
+
+
+def _same_bytes(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+_gen = np.random.default_rng(71)
+EXACTNESS_GRIDS = {
+    "linspace": (np.linspace(0.0, 12.0, 37),) * 2,
+    "sorted-uniform": (np.sort(_gen.uniform(-3.0, 9.0, 45)),) * 2,
+    "repeats": (np.sort(np.round(_gen.uniform(0.0, 5.0, 29) * 4.0) / 4.0),) * 2,
+    "signed-zeros": (np.array([-1.5, -0.0, 0.0, 0.5, -0.0, 2.0, 3.25, 0.0, 7.0]),) * 2,
+    "cross": (np.linspace(-2.0, 12.0, 23), np.sort(_gen.uniform(-1.0, 14.0, 13))),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(EXACTNESS_GRIDS))
+def test_gap_gather_is_bit_identical_to_full_matrix_formulas(grid, monkeypatch):
+    xs, ys = EXACTNESS_GRIDS[grid]
+    if grid != "cross":
+        ys = xs
+    table = kernels.gap_table(xs, ys)
+    stationary = 0
+    for ast in random_asts(300, seed=72):
+        want = _dense_builds(ast, xs, ys, monkeypatch)
+        _same_bytes(_builds(ast, xs, ys), want)
+        _same_bytes(_builds(ast, xs, ys, table), want)
+        stationary += any(
+            b.kernel in (BaseKernel.SE, BaseKernel.PER, BaseKernel.WN)
+            for b in ast.nodes.values()
+        )
+    assert stationary > 100
+
+
+def test_gap_table_holds_each_distinct_gap_once_read_only():
+    xs = np.array([0.0, 0.5, 1.0, 1.5, 4.0])
+    ys = np.array([1.0, -0.0, 4.5])
+    gaps, index = kernels.gap_table(xs, ys)
+    assert gaps.tolist() == [0.0, 0.5, 1.0, 1.5, 3.0, 3.5, 4.0, 4.5]
+    assert np.array_equal(gaps[index], np.abs(np.subtract.outer(xs, ys)))
+    with pytest.raises(ValueError):
+        gaps[0] = 1.0
+    with pytest.raises(ValueError):
+        index[0, 0] = 1
+
+
+def test_gap_table_of_other_inputs_is_rejected():
+    ast = tree(["+", ["PER", 0.9, 2.3], ["SE", 1.4]])
+    xs = np.linspace(0.0, 3.0, 5)
+    wrong = kernels.gap_table(xs[:4], xs)
+    with pytest.raises(ValueError, match="gap table"):
+        build_cov_matrix(ast, xs, gaps=wrong)
+    with pytest.raises(ValueError, match="gap table"):
+        cross_cov_matrix(ast, xs[:4], xs[:4], gaps=wrong)
+    with pytest.raises(ValueError, match="gap table"):
+        cov_matrices(ast, xs, wrong)
+    with pytest.raises(ValueError, match="gap table"):
+        leaf_cov_grads(ast.nodes[2], xs, wrong)
 
 
 # ---------------------------------------------------------------------------
