@@ -7,6 +7,12 @@ thread costs more than the work it shares, so the command line runs
 each task with every loaded OpenBLAS pool on one thread. Users who set
 one of the variables OpenBLAS reads itself keep their choice.
 
+`python -m covsearch` and the installed `covsearch` command apply that
+rule before numpy loads (`__main__.main` sets `OPENBLAS_NUM_THREADS=1`
+when none of `THREAD_VARS` is set), so OpenBLAS starts no idle worker
+to spin. `single_blas_thread` applies it to the pools already loaded
+when other Python code calls `cli.main`.
+
 The thread count is part of the determinism contract: OpenBLAS splits
 its sums differently on more threads, which moves results in the last
 digits.

@@ -3,7 +3,9 @@
 Observations are modeled as y ~ N(0, K + noise_var * I) where K is the
 covariance matrix of a kernel tree over the inputs. All dense linear
 algebra goes through one Cholesky helper with a fixed jitter ladder and
-two solves against its factor.
+two solves against its factor. The public solves check their input as
+scipy does; the likelihood and its gradient solve against factors
+`chol_with_jitter` has just made, and skip those checks.
 
 The solves call LAPACK in the OpenBLAS numpy loads, so a command-line
 process runs on that one OpenBLAS pool. Where that library's LAPACK
@@ -101,6 +103,8 @@ def chol_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     NumericError once the ladder is exhausted.
     """
     matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"cannot factor an array of shape {matrix.shape}: not square")
     if not np.all(np.isfinite(matrix)):
         raise NumericError("covariance matrix has non-finite entries")
     for jitter in JITTER_LADDER:
@@ -119,36 +123,55 @@ def chol_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
 
 def cho_solve(factor: np.ndarray, rhs) -> np.ndarray:
     """Solve (L L^T) x = rhs for a lower Cholesky factor L."""
-    return _solve(factor, rhs, cholesky=True)
+    return _solve_fresh(*_checked(factor, rhs), cholesky=True)
 
 
 def solve_lower(factor: np.ndarray, rhs) -> np.ndarray:
     """Solve L x = rhs for a lower triangular L."""
-    return _solve(factor, rhs, cholesky=False)
+    return _solve_fresh(*_checked(factor, rhs), cholesky=False)
 
 
-def _solve(factor, rhs, cholesky: bool) -> np.ndarray:
-    """scipy's input checks, then LAPACK `dpotrs` or `dtrtrs`, or scipy.
+def _checked(factor, rhs) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's input checks on a factor and a right-hand side.
 
     Non-finite input or mismatched shapes raise ValueError, a zero on
-    the factor's diagonal LinAlgError.
+    the factor's diagonal LinAlgError. Returns both as float arrays.
     """
-    factor = np.ascontiguousarray(factor, dtype=float)
+    factor = np.asarray(factor, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    n = factor.shape[0] if factor.ndim == 2 else -1
-    if factor.shape != (n, n) or rhs.ndim not in (1, 2) or rhs.shape[0] != n:
-        raise ValueError(f"cannot solve a {factor.shape} factor against {rhs.shape}")
+    _solve_size(factor, rhs)
     if not (np.isfinite(factor).all() and np.isfinite(rhs).all()):
         raise ValueError("factor and right-hand side must be finite")
     if not np.diagonal(factor).all():
         raise np.linalg.LinAlgError("singular factor: zero on its diagonal")
+    return factor, rhs
+
+
+def _solve_size(factor: np.ndarray, rhs: np.ndarray) -> int:
+    """n for an (n, n) factor and a right-hand side of n rows, else ValueError."""
+    n = factor.shape[0] if factor.ndim == 2 else -1
+    if factor.shape != (n, n) or rhs.ndim not in (1, 2) or rhs.shape[0] != n:
+        raise ValueError(f"cannot solve a {factor.shape} factor against {rhs.shape}")
+    return n
+
+
+def _solve_fresh(factor: np.ndarray, rhs: np.ndarray, cholesky: bool) -> np.ndarray:
+    """LAPACK `dpotrs` (`cholesky`) or `dtrtrs` against a sound factor, or scipy.
+
+    The factor must be finite with no zero on its diagonal, as one from
+    `chol_with_jitter` is. Only the shapes are checked here, since LAPACK
+    reads both arrays by address; callers that cannot vouch for the
+    values go through `cho_solve` or `solve_lower`.
+    """
+    factor = np.ascontiguousarray(factor, dtype=float)
+    n = _solve_size(factor, rhs)
     if _scipy_linalg is not None:
         if cholesky:
             return _scipy_linalg.cho_solve((factor, True), rhs, check_finite=False)
         return _scipy_linalg.solve_triangular(
             factor, rhs, lower=True, check_finite=False
         )
-    solution = np.array(rhs, order="F")  # LAPACK overwrites it in place
+    solution = np.array(rhs, dtype=float, order="F")  # LAPACK overwrites it in place
     if n == 0:
         return solution
     dpotrs, dtrtrs = _LAPACK
@@ -195,7 +218,9 @@ def log_marginal_and_chol(
         return 0.0, None
     if factor is None:
         factor = observed_chol(ast, data, noise_var)
-    alpha = solve_lower(factor, data.ys)
+        alpha = _solve_fresh(factor, data.ys, cholesky=False)
+    else:
+        alpha = solve_lower(factor, data.ys)
     value = (
         -0.5 * float(alpha @ alpha)
         - float(np.sum(np.log(np.diag(factor))))

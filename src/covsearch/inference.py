@@ -26,7 +26,7 @@ from .gp import (
     DEFAULT_NOISE_VAR,
     Dataset,
     GpPosterior,
-    cho_solve,
+    _solve_fresh,
     log_marginal_and_chol,
     observed_chol,
     predict,
@@ -291,8 +291,9 @@ def hyper_gradients(state: TraceState) -> dict[tuple[int, int], float]:
         if factor is None:
             continue
         mats = cov_matrices(state.ast, data.xs, data.gaps)
-        alpha = cho_solve(factor, data.ys)
-        a_inv = cho_solve(factor, np.eye(len(data)))
+        # The state's own factors: finite, nonzero diagonal, n rows.
+        alpha = _solve_fresh(factor, data.ys, cholesky=True)
+        a_inv = _solve_fresh(factor, np.eye(len(data)), cholesky=True)
         adjoints = {1: 0.5 * (np.outer(alpha, alpha) - a_inv)}
         order = sorted(mats)
         for node in order:
@@ -548,7 +549,10 @@ def averaged_prediction(
     """Mixture predictive over recorded samples, optionally one label only.
 
     The mixture mean is the average of per-sample means and the mixture
-    covariance adds the spread between those means.
+    covariance adds the spread between those means. The command line
+    calls `averaged_predictions`; this one-group form stays public as
+    the library's entry point for a single prediction: README's Library
+    example uses it, and `perfbench/tracer.py` traces it.
     """
     chosen = [i for i, s in enumerate(samples) if label is None or s.label == label]
     [[post]] = averaged_predictions(

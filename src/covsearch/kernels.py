@@ -126,16 +126,32 @@ def _expected_offsets(bundle: NodeBundle) -> tuple[float, ...]:
     return KERNEL_HYPER_OFFSETS[bundle.kernel]
 
 
-def validate_nodes(nodes: Mapping[int, NodeBundle]) -> None:
-    """Raise StructureError unless `nodes` encodes a well-formed tree."""
-    if 1 not in nodes:
+def _check_site(index: int, slot: int, site: HyperSite, offset: float) -> None:
+    if site.offset != offset:
+        raise StructureError(
+            f"node {index} slot {slot}: offset {site.offset} should be {offset}"
+        )
+    if not math.isfinite(site.constrained) or site.constrained <= site.offset:
+        raise StructureError(
+            f"node {index} slot {slot}: constrained value "
+            f"{site.constrained!r} outside support"
+        )
+
+
+def validate_nodes(nodes: Mapping[int, NodeBundle], root: int = 1) -> None:
+    """Raise StructureError unless `nodes` encodes a well-formed tree.
+
+    With `root` above 1, `nodes` is checked as the subtree under that
+    heap index: every node must descend from it.
+    """
+    if root not in nodes:
         raise StructureError("tree has no root node")
     for index, bundle in nodes.items():
         if not isinstance(index, int) or index < 1:
             raise StructureError(f"bad node index {index!r}")
-        if index > 1 and index // 2 not in nodes:
+        if index != root and index // 2 not in nodes:
             raise StructureError(f"node {index} is detached from the tree")
-        if index > 1 and not nodes[index // 2].is_branch:
+        if index != root and not nodes[index // 2].is_branch:
             raise StructureError(f"node {index} hangs off a leaf")
         if bundle.is_branch:
             if bundle.operator is None or bundle.kernel is not None:
@@ -154,23 +170,16 @@ def validate_nodes(nodes: Mapping[int, NodeBundle]) -> None:
                 f"got {len(bundle.hypers)}"
             )
         for slot, (site, offset) in enumerate(zip(bundle.hypers, expected)):
-            if site.offset != offset:
-                raise StructureError(
-                    f"node {index} slot {slot}: offset {site.offset} "
-                    f"should be {offset}"
-                )
-            if not math.isfinite(site.constrained) or (
-                site.constrained <= site.offset
-            ):
-                raise StructureError(
-                    f"node {index} slot {slot}: constrained value "
-                    f"{site.constrained!r} outside support"
-                )
+            _check_site(index, slot, site, offset)
 
 
 @dataclass(frozen=True)
 class KernelAst:
-    """An immutable, validated kernel tree."""
+    """An immutable kernel tree, validated when it is constructed.
+
+    The library's own edits (`replace_subtree`, `with_hyper`) check only
+    what they change and build the result through `_trusted`.
+    """
 
     nodes: Mapping[int, NodeBundle]
 
@@ -178,6 +187,13 @@ class KernelAst:
         frozen = dict(self.nodes)
         validate_nodes(frozen)
         object.__setattr__(self, "nodes", frozen)
+
+    @classmethod
+    def _trusted(cls, nodes: dict[int, NodeBundle]) -> "KernelAst":
+        """A tree of `nodes`, which the caller has made sure form a valid tree."""
+        ast = object.__new__(cls)
+        object.__setattr__(ast, "nodes", nodes)
+        return ast
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -209,17 +225,19 @@ def replace_subtree(
 ) -> KernelAst:
     """New tree with the subtree at `root` swapped for `replacement`.
 
-    `replacement` must itself be rooted at `root`.
+    `replacement` must itself be a valid subtree rooted at `root`; the
+    rest of the tree is valid already and is not checked again.
     """
     if root not in ast.nodes:
         raise StructureError(f"no node {root} to replace")
     if root not in replacement:
         raise StructureError(f"replacement is not rooted at {root}")
+    validate_nodes(replacement, root)
     kept = dict(ast.nodes)
     for index in subtree_nodes(ast.nodes, root):
         del kept[index]
     kept.update(replacement)
-    return KernelAst(kept)
+    return KernelAst._trusted(kept)
 
 
 def hyper_sites(ast: KernelAst) -> list[tuple[int, int]]:
@@ -232,15 +250,19 @@ def hyper_sites(ast: KernelAst) -> list[tuple[int, int]]:
 
 
 def with_hyper(ast: KernelAst, node: int, slot: int, site: HyperSite) -> KernelAst:
-    """New tree with a single hyperparameter site replaced."""
+    """New tree with a single hyperparameter site replaced.
+
+    Only the new site is checked: its offset and its support.
+    """
     bundle = ast.nodes[node]
     hypers = list(bundle.hypers)
     hypers[slot] = site
+    _check_site(node, slot, site, _expected_offsets(bundle)[slot])
     nodes = dict(ast.nodes)
     nodes[node] = NodeBundle(
         bundle.is_branch, bundle.operator, bundle.kernel, tuple(hypers)
     )
-    return KernelAst(nodes)
+    return KernelAst._trusted(nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -644,15 +644,20 @@ def test_cli_leaves_blas_threads_to_the_environment(tmp_path, monkeypatch, blas_
     assert seen == [[2] * len(blas_pools)]
 
 
+def _src_env(**extra) -> dict:
+    """This environment without the BLAS thread variables, plus `extra`."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(covsearch.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+    )
+    return {**env, **extra}
+
+
 def test_cli_output_bytes_match_an_explicit_single_blas_thread(tmp_path):
     # At n = 40 OpenBLAS keeps one thread on its own; at 160 points the
     # default thread count changes the predictions' last digits.
     data = tmp_path / "series.csv"
     write_dataset_csv(data, synth_data("lin_plus_per", 160, np.random.default_rng(12)))
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(covsearch.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
-    )
     outs = []
     for extra in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
         out = tmp_path / f"out{len(outs)}"
@@ -664,7 +669,7 @@ def test_cli_output_bytes_match_an_explicit_single_blas_thread(tmp_path):
                 "--set", "schedule.hyper_steps=6",
                 "--set", "schedule.structure_steps=6",
             ],
-            env={**env, **extra}, capture_output=True, text=True,
+            env=_src_env(**extra), capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(out)
@@ -672,6 +677,78 @@ def test_cli_output_bytes_match_an_explicit_single_blas_thread(tmp_path):
     assert names == sorted(p.name for p in outs[1].iterdir())
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+_RUN_AS_MAIN = """
+import json, os, runpy, sys
+out = sys.argv[1]
+sys.argv = ["covsearch", "synth-data", "--kind", "periodic", "--n", "10", "--out", out]
+try:
+    runpy.run_module("covsearch", run_name="__main__")
+except SystemExit as done:
+    code = done.code
+from covsearch.blas import openblas_pools
+threads = [get() for get, _ in openblas_pools()]
+print(json.dumps([code, os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_module_entry_pins_blas_before_numpy_loads(tmp_path, preset):
+    if preset and len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("OpenBLAS caps its thread count at the CPUs it may use")
+    extra = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_AS_MAIN, str(tmp_path)],
+        env=_src_env(**extra), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, variable, threads = json.loads(proc.stdout)
+    if not threads:
+        pytest.skip("no OpenBLAS loaded")
+    expected = preset or "1"
+    assert code == 0
+    assert variable == expected
+    assert threads == [int(expected)] * len(threads)
+
+
+def test_package_import_loads_no_numpy_and_keeps_the_environment():
+    script = (
+        "import os, sys\n"
+        "before = dict(os.environ)\n"
+        "import covsearch\n"
+        "print('numpy' in sys.modules, dict(os.environ) == before)\n"
+        "import covsearch.cli\n"
+        "print('numpy' in sys.modules, dict(os.environ) == before)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=_src_env(), capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "True", "True"]
+
+
+def test_package_names_are_their_modules_objects():
+    import importlib
+
+    for name in covsearch.__all__:
+        obj = getattr(covsearch, name)
+        assert obj.__module__.startswith("covsearch.")
+        assert getattr(importlib.import_module(obj.__module__), name) is obj
+    assert set(covsearch.__all__) <= set(dir(covsearch))
+    with pytest.raises(AttributeError):
+        covsearch.no_such_name
+
+
+def test_installed_command_starts_at_the_module_entry():
+    tomllib = pytest.importorskip("tomllib")
+    import importlib
+
+    pyproject = Path(covsearch.__file__).resolve().parents[2] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["covsearch"]
+    assert target == "covsearch.__main__:main"
+    module, name = target.split(":")
+    assert callable(getattr(importlib.import_module(module), name))
 
 
 def test_cli_process_loads_no_scipy(tmp_path):

@@ -165,6 +165,14 @@ def test_chol_rejects_non_finite():
         chol_with_jitter(mat)
 
 
+@pytest.mark.parametrize("shape", [(3,), (3, 4)])
+def test_chol_rejects_non_square_input(shape):
+    # A vector once broadcast against the ladder's identity and came back
+    # as the factor of a 3 x 3 matrix nobody passed.
+    with pytest.raises(ValueError, match="not square"):
+        chol_with_jitter(np.ones(shape))
+
+
 # ---------------------------------------------------------------------------
 # Solves against a Cholesky factor
 
@@ -184,6 +192,43 @@ def test_solves_equal_scipy_bit_for_bit(n):
         assert np.array_equal(
             solve_lower(factor, b), scipy.linalg.solve_triangular(factor, b, lower=True)
         )
+
+
+@pytest.mark.parametrize("n", [20, 100, 160, 300])
+def test_unchecked_solves_equal_the_checked_ones_bit_for_bit(n):
+    factor, (vector, _, identity) = _factor_and_rhs(n, n)
+    for b in (vector, identity):
+        assert np.array_equal(gp._solve_fresh(factor, b, cholesky=True), cho_solve(factor, b))
+        assert np.array_equal(
+            gp._solve_fresh(factor, b, cholesky=False), solve_lower(factor, b)
+        )
+
+
+def test_unchecked_solves_still_check_shapes():
+    # LAPACK reads both arrays by address: a wrong shape must never reach it.
+    factor, (b, *_) = _factor_and_rhs(20, 4)
+    for bad_factor, bad_rhs in ((factor, b[:-1]), (factor[:, :-1], b), (factor[0], b),
+                                (factor, b[:, None, None])):
+        for cholesky in (True, False):
+            with pytest.raises(ValueError, match="cannot solve"):
+                gp._solve_fresh(bad_factor, bad_rhs, cholesky)
+
+
+def test_log_marginal_checks_a_factor_the_caller_passes():
+    ast, data = leaf("SE", 1.5), toy_data(seed=5, n=8)
+    factor = gp.observed_chol(ast, data)
+    value, returned = gp.log_marginal_and_chol(ast, data, factor=factor)
+    assert returned is factor
+    assert value == gp.log_marginal_and_chol(ast, data)[0]
+    non_finite = factor.copy()
+    non_finite[5, 2] = np.nan
+    singular = factor.copy()
+    singular[3, 3] = 0.0
+    for bad in (factor[:-1, :-1], factor[:, :-1], factor[0], non_finite):
+        with pytest.raises(ValueError):
+            gp.log_marginal_and_chol(ast, data, factor=bad)
+    with pytest.raises(np.linalg.LinAlgError):
+        gp.log_marginal_and_chol(ast, data, factor=singular)
 
 
 def test_solves_leave_their_inputs_alone():

@@ -530,6 +530,20 @@ def test_replace_subtree_rejects_misrooted_replacement():
         replace_subtree(host, 3, insert.nodes)
 
 
+def test_replace_subtree_checks_the_replacement_it_splices():
+    host = tree(["+", ["SE", 1.5], ["WN", 0.3]])
+    c = NodeBundle.leaf(BaseKernel.C, (HyperSite.from_constrained(1.0),))
+    bare_se = NodeBundle.leaf(BaseKernel.SE, (HyperSite.from_constrained(1.0, 0.0),))
+    for bad in (
+        {3: NodeBundle.branch(Operator.SUM), 6: c},  # a branch missing a child
+        {3: c, 6: c},  # a child under a leaf
+        {3: c, 5: c},  # a node outside the replaced subtree
+        {3: bare_se},  # a hyper with the wrong offset
+    ):
+        with pytest.raises(StructureError):
+            replace_subtree(host, 3, bad)
+
+
 def test_hyper_sites_sorted_and_complete():
     ast = tree(["CP", 1.0, ["PER", 0.9, 2.0], ["WN", 0.4]])
     assert hyper_sites(ast) == [(1, 0), (2, 0), (2, 1), (3, 0)]

@@ -14,8 +14,10 @@ from covsearch.kernels import (
     Operator,
     hyper_sites,
     node_depth,
+    replace_subtree,
     structure_label,
     validate_nodes,
+    with_hyper,
 )
 from covsearch.prior import (
     PriorConfig,
@@ -75,6 +77,29 @@ def test_samples_are_valid_and_depth_capped():
         assert max(node_depth(n) for n in ast.nodes) <= 4
         seen_branch = seen_branch or any(b.is_branch for b in ast.nodes.values())
     assert seen_branch
+
+
+def test_internal_edits_keep_trees_valid():
+    # replace_subtree and with_hyper check only what they change; every
+    # tree a chain of such edits reaches must still be whole.
+    cfg = PriorConfig(p_branch=0.6, max_depth=4)
+    gen = np.random.default_rng(17)
+    ast = sample_ast(cfg, gen)
+    spliced_branches = 0
+    for _ in range(2000):
+        nodes = sorted(ast.nodes)
+        target = nodes[int(gen.integers(len(nodes)))]
+        regrown = sample_subtree(cfg, target, gen)
+        spliced_branches += regrown[target].is_branch
+        ast = replace_subtree(ast, target, regrown)
+        validate_nodes(ast.nodes)
+        sites = hyper_sites(ast)
+        if sites:
+            node, slot = sites[int(gen.integers(len(sites)))]
+            site = sample_hyper(gen, ast.nodes[node].hypers[slot].offset)
+            ast = with_hyper(ast, node, slot, site)
+            validate_nodes(ast.nodes)
+    assert spliced_branches > 100
 
 
 def test_zero_weight_kinds_never_sampled():
