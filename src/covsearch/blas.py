@@ -17,9 +17,10 @@ The thread count is part of the determinism contract: OpenBLAS splits
 its sums differently on more threads, which moves results in the last
 digits.
 
-The same library serves the Cholesky solves (`lapack_solvers`), so a
-command-line process loads numpy and its one OpenBLAS pool, not a second
-numerical stack with a pool of its own.
+The same library serves the Cholesky solves and the inverse the
+gradient needs (`lapack_solvers`), so a command-line process loads numpy
+and its one OpenBLAS pool, not a second numerical stack with a pool of
+its own.
 """
 
 from __future__ import annotations
@@ -83,12 +84,12 @@ def openblas_pools() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
     return pools
 
 
-def lapack_solvers() -> tuple[Callable, Callable] | None:
-    """LAPACK `dpotrs` and `dtrtrs` of a loaded OpenBLAS, or None.
+def lapack_solvers() -> tuple[Callable, Callable, Callable] | None:
+    """LAPACK `dpotrs`, `dtrtrs` and `dpotri` of a loaded OpenBLAS, or None.
 
-    Both take their arguments the Fortran way: characters and integers
-    (`LAPACK_INT`) by reference, arrays as addresses, then one hidden
-    length per character argument.
+    All three take their arguments the Fortran way: characters and
+    integers (`LAPACK_INT`) by reference, arrays as addresses, then one
+    hidden length per character argument.
     """
     ref, address, char, length = (
         ctypes.POINTER(LAPACK_INT), ctypes.c_void_p, ctypes.c_char_p, ctypes.c_size_t
@@ -100,15 +101,18 @@ def lapack_solvers() -> tuple[Callable, Callable] | None:
             continue
         potrs = getattr(lib, "scipy_dpotrs_64_", None)
         trtrs = getattr(lib, "scipy_dtrtrs_64_", None)
-        if potrs is None or trtrs is None:
+        potri = getattr(lib, "scipy_dpotri_64_", None)
+        if potrs is None or trtrs is None or potri is None:
             continue
         # dpotrs(uplo, n, nrhs, a, lda, b, ldb, info)
         potrs.argtypes = [char, ref, ref, address, ref, address, ref, ref, length]
         # dtrtrs(uplo, trans, diag, n, nrhs, a, lda, b, ldb, info)
         trtrs.argtypes = [char, char, char, ref, ref, address, ref, address, ref, ref,
                           length, length, length]
-        potrs.restype = trtrs.restype = None
-        return potrs, trtrs
+        # dpotri(uplo, n, a, lda, info)
+        potri.argtypes = [char, ref, address, ref, ref, length]
+        potrs.restype = trtrs.restype = potri.restype = None
+        return potrs, trtrs, potri
     return None
 
 

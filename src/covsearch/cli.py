@@ -342,4 +342,7 @@ def entry() -> None:
 
 
 if __name__ == "__main__":
-    entry()
+    # This route would load numpy before any BLAS thread pin could apply.
+    print("run the command line as `python -m covsearch`, not `python -m covsearch.cli`",
+          file=sys.stderr)
+    sys.exit(2)

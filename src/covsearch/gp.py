@@ -2,16 +2,18 @@
 
 Observations are modeled as y ~ N(0, K + noise_var * I) where K is the
 covariance matrix of a kernel tree over the inputs. All dense linear
-algebra goes through one Cholesky helper with a fixed jitter ladder and
-two solves against its factor. The public solves check their input as
-scipy does; the likelihood and its gradient solve against factors
-`chol_with_jitter` has just made, and skip those checks.
+algebra goes through one Cholesky helper with a fixed jitter ladder,
+two solves against its factor, and the inverse A^{-1} = (L L^T)^{-1}
+the likelihood's gradient contracts against (`_inverse_fresh`, LAPACK
+`dpotri`). The public solves check their input as scipy does; the
+likelihood and its gradient solve against factors `chol_with_jitter`
+has just made, and skip those checks.
 
-The solves call LAPACK in the OpenBLAS numpy loads, so a command-line
-process runs on that one OpenBLAS pool. Where that library's LAPACK
-cannot be bound (a numpy built on another BLAS, or no /proc to find
-it) they go through scipy, imported here so that its OpenBLAS is loaded
-before the command line sets thread counts.
+The solves and the inverse call LAPACK in the OpenBLAS numpy loads, so
+a command-line process runs on that one OpenBLAS pool. Where that
+library's LAPACK cannot be bound (a numpy built on another BLAS, or no
+/proc to find it) they go through scipy, imported here so that its
+OpenBLAS is loaded before the command line sets thread counts.
 """
 
 from __future__ import annotations
@@ -174,7 +176,7 @@ def _solve_fresh(factor: np.ndarray, rhs: np.ndarray, cholesky: bool) -> np.ndar
     solution = np.array(rhs, dtype=float, order="F")  # LAPACK overwrites it in place
     if n == 0:
         return solution
-    dpotrs, dtrtrs = _LAPACK
+    dpotrs, dtrtrs, _ = _LAPACK
     size, count, info = LAPACK_INT(n), LAPACK_INT(solution.size // n), LAPACK_INT(0)
     ref = ctypes.byref
     a, b = factor.ctypes.data, solution.ctypes.data
@@ -187,6 +189,35 @@ def _solve_fresh(factor: np.ndarray, rhs: np.ndarray, cholesky: bool) -> np.ndar
     if info.value:
         raise ValueError(f"LAPACK solve rejected argument {-info.value}")
     return solution
+
+
+def _inverse_fresh(factor: np.ndarray) -> np.ndarray:
+    """(L L^T)^{-1} for a sound lower factor L, by LAPACK `dpotri`, or scipy.
+
+    The factor must be as `_solve_fresh` asks, and is left as it is.
+    `dpotri` writes one triangle of the inverse, in a third of the flops
+    a solve against the identity takes; mirroring it makes the result
+    exactly symmetric.
+    """
+    factor = np.ascontiguousarray(factor, dtype=float)
+    n = _solve_size(factor, factor)
+    if n == 0:
+        return np.empty((0, 0))
+    info = LAPACK_INT(0)
+    if _scipy_linalg is not None:
+        inverse, info.value = _scipy_linalg.lapack.dpotri(factor, lower=True)
+        inverse = np.tril(inverse)
+    else:
+        # C-order L is Fortran-order U, which dpotri overwrites with the
+        # upper triangle of (U^T U)^{-1}: in C order, the lower one.
+        inverse = np.tril(factor)
+        size = LAPACK_INT(n)
+        _LAPACK[2](b"U", ctypes.byref(size), inverse.ctypes.data, ctypes.byref(size),
+                   ctypes.byref(info), 1)
+    if info.value:
+        raise ValueError(f"LAPACK dpotri failed with info {info.value}")
+    inverse += np.tril(inverse, -1).T
+    return inverse
 
 
 def observed_chol(

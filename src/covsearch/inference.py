@@ -26,19 +26,23 @@ from .gp import (
     DEFAULT_NOISE_VAR,
     Dataset,
     GpPosterior,
+    _inverse_fresh,
     _solve_fresh,
     log_marginal_and_chol,
     observed_chol,
     predict,
 )
 from .kernels import (
+    STATIONARY_GRADIENT_LEAVES,
     BaseKernel,
     HyperSite,
     KernelAst,
+    NodeBundle,
     Operator,
     cov_matrices,
     hyper_sites,
     leaf_cov_grads,
+    leaf_gap_grads,
     replace_subtree,
     structure_label,
     with_hyper,
@@ -275,6 +279,13 @@ def hyper_gradients(state: TraceState) -> dict[tuple[int, int], float]:
     covariance; at a leaf the adjoint contracts against the leaf's
     hyperparameter Jacobian. The chain rule through the softplus link
     and the Logistic prior term finish the job.
+
+    A^{-1}, and the subtree covariances when a product node needs them,
+    are made once per distinct factor object, so datasets on one input
+    grid share them. An SE or PER leaf's Jacobian depends on the inputs
+    only through their gap, so its contraction sums the adjoint over
+    each distinct gap of the dataset's table and dots the per-gap
+    Jacobian with those sums; LIN and C contract dense matrices.
     """
     if not gradient_supported(state.ast):
         raise UnsupportedMoveError(
@@ -287,15 +298,19 @@ def hyper_gradients(state: TraceState) -> dict[tuple[int, int], float]:
     if len(state.chols) != len(state.datasets):
         state.refresh()
     nodes = state.ast.nodes
+    order = sorted(nodes)
+    products = any(nodes[node].operator is Operator.PRODUCT for node in order)
+    shared: dict[int, tuple[np.ndarray, dict[int, np.ndarray]]] = {}
     for data, factor in zip(state.datasets, state.chols):
         if factor is None:
             continue
-        mats = cov_matrices(state.ast, data.xs, data.gaps)
-        # The state's own factors: finite, nonzero diagonal, n rows.
+        if id(factor) not in shared:
+            # The state's own factors: finite, nonzero diagonal, n rows.
+            mats = cov_matrices(state.ast, data.xs, data.gaps) if products else {}
+            shared[id(factor)] = _inverse_fresh(factor), mats
+        a_inv, mats = shared[id(factor)]
         alpha = _solve_fresh(factor, data.ys, cholesky=True)
-        a_inv = _solve_fresh(factor, np.eye(len(data)), cholesky=True)
         adjoints = {1: 0.5 * (np.outer(alpha, alpha) - a_inv)}
-        order = sorted(mats)
         for node in order:
             bundle = nodes[node]
             if not bundle.is_branch:
@@ -310,12 +325,11 @@ def hyper_gradients(state: TraceState) -> dict[tuple[int, int], float]:
                 adjoints[right] = parent * mats[left]
             else:
                 raise UnsupportedMoveError("changepoint in gradient sweep")
-        jacobians: dict[int, list[np.ndarray]] = {}
+        contracted: dict[int, list[float]] = {}
         for node, slot in sites:
-            if node not in jacobians:
-                jacobians[node] = leaf_cov_grads(nodes[node], data.xs, data.gaps)
-            jac = jacobians[node][slot]
-            grads[(node, slot)] += float(np.sum(adjoints[node] * jac))
+            if node not in contracted:
+                contracted[node] = _contract_leaf(nodes[node], adjoints[node], data)
+            grads[(node, slot)] += contracted[node][slot]
     for node, slot in sites:
         site = nodes[node].hypers[slot]
         # scipy's expit(-t), bit for bit; past t = 709 exp overflows and the
@@ -324,6 +338,19 @@ def hyper_gradients(state: TraceState) -> dict[tuple[int, int], float]:
         grads[(node, slot)] *= dh_dt
         grads[(node, slot)] += unconstrained_log_prior_grad(site.unconstrained)
     return grads
+
+
+def _contract_leaf(
+    bundle: NodeBundle, adjoint: np.ndarray, data: Dataset
+) -> list[float]:
+    """sum_ij adjoint_ij d cov_ij / d h for each constrained hyper of a leaf."""
+    if bundle.kernel in STATIONARY_GRADIENT_LEAVES:
+        gaps, index = data.gaps
+        sums = np.bincount(index.ravel(), weights=adjoint.ravel(), minlength=gaps.size)
+        return [float(jac @ sums) for jac in leaf_gap_grads(bundle, data.gaps)]
+    return [
+        float(np.sum(adjoint * jac)) for jac in leaf_cov_grads(bundle, data.xs, data.gaps)
+    ]
 
 
 # Unconstrained coordinates are kept where the softplus link still

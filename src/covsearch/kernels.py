@@ -447,6 +447,26 @@ def leaf_cov_grads(bundle: NodeBundle, xs: np.ndarray, gaps=None) -> list[np.nda
     return jacobian()
 
 
+# Leaves whose Jacobian `leaf_gap_grads` gives per distinct gap.
+STATIONARY_GRADIENT_LEAVES = (BaseKernel.SE, BaseKernel.PER)
+
+_ORIGIN = np.zeros(1)
+
+
+def leaf_gap_grads(bundle: NodeBundle, gaps) -> list[np.ndarray]:
+    """d k / d h for each constrained hyper of an SE or PER leaf, per gap.
+
+    `gaps` is a `gap_table`; entry g of each vector is the Jacobian at
+    its g-th distinct gap, so gathering it through the table's index
+    gives `leaf_cov_grads`'s matrix bit for bit. `_leaf` evaluates its
+    formulas on the pairs (gap, 0), whose distance |g - 0| is g exactly.
+    """
+    if bundle.kernel not in STATIONARY_GRADIENT_LEAVES:
+        raise StructureError(f"no per-gap Jacobian for {bundle.kernel!r}")
+    _, jacobian = _leaf(bundle, gaps[0], _ORIGIN)
+    return [column[:, 0] for column in jacobian()]
+
+
 # ---------------------------------------------------------------------------
 # Structure labels
 

@@ -712,6 +712,17 @@ def test_module_entry_pins_blas_before_numpy_loads(tmp_path, preset):
     assert threads == [int(expected)] * len(threads)
 
 
+def test_running_the_cli_module_points_to_the_package_entry(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "covsearch.cli", "synth-data", "--kind", "periodic",
+         "--n", "10", "--out", str(tmp_path)],
+        env=_src_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "python -m covsearch`" in proc.stderr
+    assert proc.stdout == "" and not any(tmp_path.iterdir())
+
+
 def test_package_import_loads_no_numpy_and_keeps_the_environment():
     script = (
         "import os, sys\n"

@@ -268,6 +268,30 @@ def test_scipy_fallback_gives_the_same_arrays(monkeypatch):
         assert np.array_equal(solve_lower(factor, b), lower)
 
 
+@pytest.mark.parametrize("n", [20, 100, 160, 300])
+def test_inverse_matches_a_solve_against_the_identity(n, monkeypatch):
+    factor, *_ = _factor_and_rhs(n, n)
+    kept = factor.copy()
+    want = cho_solve(factor, np.eye(n))
+    inverse = gp._inverse_fresh(factor)
+    assert np.array_equal(factor, kept)
+    assert np.array_equal(inverse, inverse.T)
+    assert np.abs(inverse - want).max() <= 1e-10 * np.abs(want).max()
+    monkeypatch.setattr(gp, "_scipy_linalg", scipy.linalg)
+    fallback = gp._inverse_fresh(factor)
+    assert np.array_equal(factor, kept)
+    assert np.array_equal(fallback, fallback.T)
+    assert np.abs(fallback - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_inverse_checks_the_shape():
+    factor, *_ = _factor_and_rhs(20, 4)
+    for bad in (factor[:, :-1], factor[0]):
+        with pytest.raises(ValueError, match="cannot solve"):
+            gp._inverse_fresh(bad)
+    assert gp._inverse_fresh(np.empty((0, 0))).shape == (0, 0)
+
+
 # ---------------------------------------------------------------------------
 # Prediction
 

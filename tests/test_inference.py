@@ -346,15 +346,75 @@ def test_gradient_sweep_builds_each_leaf_jacobian_once(monkeypatch):
     state = new_state(ast, parts)
     want = hyper_gradients(state)
     built = []
-    jacobians = inference.leaf_cov_grads
 
-    def counted(bundle, xs, *gaps):
-        built.append(bundle)
-        return jacobians(bundle, xs, *gaps)
+    def counted(jacobians):
+        def wrapper(bundle, *args):
+            built.append(bundle)
+            return jacobians(bundle, *args)
 
-    monkeypatch.setattr(inference, "leaf_cov_grads", counted)
+        return wrapper
+
+    # Dense Jacobians (LIN, C) and per-gap ones (SE, PER) both count.
+    for name in ("leaf_cov_grads", "leaf_gap_grads"):
+        monkeypatch.setattr(inference, name, counted(getattr(inference, name)))
     assert hyper_gradients(state) == want
     assert len(built) == 3 * len(parts)
+
+
+def _three_series_on_two_grids():
+    grid = toy_data(seed=4, n=5).xs
+    return [
+        Dataset(grid, toy_data(seed=5, n=5).ys),
+        toy_data(seed=6, n=5),
+        Dataset(grid.copy(), toy_data(seed=7, n=5).ys),
+    ]
+
+
+@pytest.mark.parametrize(
+    "nested, builds",
+    [
+        (["+", ["SE", 1.5], ["+", ["PER", 0.9, 2.0], ["LIN", 0.3]]], 0),
+        (["+", ["SE", 1.5], ["*", ["PER", 0.9, 2.0], ["LIN", 0.3]]], 2),
+    ],
+)
+def test_gradient_sweep_builds_subtree_covariances_only_for_products(
+    monkeypatch, nested, builds
+):
+    import covsearch.inference as inference
+
+    state = new_state(tree(nested), _three_series_on_two_grids())
+    want = hyper_gradients(state)
+    built, inverted = [], []
+    subtree_covs, inverse = inference.cov_matrices, inference._inverse_fresh
+
+    def counted_covs(ast, xs, gaps=None):
+        built.append(xs)
+        return subtree_covs(ast, xs, gaps)
+
+    def counted_inverse(factor):
+        inverted.append(factor)
+        return inverse(factor)
+
+    monkeypatch.setattr(inference, "cov_matrices", counted_covs)
+    monkeypatch.setattr(inference, "_inverse_fresh", counted_inverse)
+    assert hyper_gradients(state) == want
+    # Two input grids: the first and third series share one factor object.
+    assert state.chols[0] is state.chols[2]
+    assert len(built) == builds
+    assert [id(f) for f in inverted] == [id(state.chols[0]), id(state.chols[1])]
+
+
+def test_gradients_of_series_sharing_a_factor_add_up():
+    ast = tree(["*", ["SE", 1.5], ["PER", 0.9, 2.0]])
+    series = _three_series_on_two_grids()
+    joint = hyper_gradients(new_state(ast, series))
+    alone = [hyper_gradients(new_state(ast, [data])) for data in series]
+    for key, got in joint.items():
+        from covsearch.prior import unconstrained_log_prior_grad
+
+        t = ast.nodes[key[0]].hypers[key[1]].unconstrained
+        want = sum(grads[key] for grads in alone) - 2 * unconstrained_log_prior_grad(t)
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 def test_gradient_sweep_gathers_through_each_dataset_gap_table(monkeypatch):
@@ -368,7 +428,8 @@ def test_gradient_sweep_gathers_through_each_dataset_gap_table(monkeypatch):
     leaf = kernels._leaf
 
     def seen(bundle, xs, ys, gaps=None):
-        tables.append(gaps)
+        # A covariance build passes the table, a per-gap Jacobian its gaps.
+        tables.append(gaps if gaps is not None else xs)
         return leaf(bundle, xs, ys, gaps)
 
     monkeypatch.setattr(kernels, "_leaf", seen)
@@ -376,7 +437,9 @@ def test_gradient_sweep_gathers_through_each_dataset_gap_table(monkeypatch):
     # Per dataset: three leaves' covariances, then the leaf Jacobians.
     per_dataset = len(tables) // len(parts)
     assert per_dataset > 3
-    assert [id(t) for t in tables] == [id(d.gaps) for d in parts for _ in range(per_dataset)]
+    assert [id(t) for t in tables] == [
+        id(d.gaps if k < 3 else d.gaps[0]) for d in parts for k in range(per_dataset)
+    ]
 
 
 def test_gradients_of_a_state_started_from_known_scores():

@@ -31,7 +31,14 @@ from covsearch.kernels import (
     validate_nodes,
     with_hyper,
 )
-from covsearch.prior import PriorConfig
+from covsearch.gp import Dataset, cho_solve, observed_chol
+from covsearch.inference import (
+    TraceState,
+    gradient_sites,
+    gradient_supported,
+    hyper_gradients,
+)
+from covsearch.prior import PriorConfig, sample_ast, unconstrained_log_prior_grad
 
 from conftest import leaf, random_asts, tree
 
@@ -460,6 +467,85 @@ def test_gap_gather_is_bit_identical_to_full_matrix_formulas(grid, monkeypatch):
             for b in ast.nodes.values()
         )
     assert stationary > 100
+
+
+@pytest.mark.parametrize("grid", sorted(EXACTNESS_GRIDS))
+def test_per_gap_jacobians_gather_to_the_dense_ones_bit_for_bit(grid):
+    xs, ys = EXACTNESS_GRIDS[grid]
+    table = kernels.gap_table(xs, ys)
+    checked = 0
+    for ast in random_asts(300, seed=72):
+        for bundle in ast.nodes.values():
+            if bundle.kernel not in kernels.STATIONARY_GRADIENT_LEAVES:
+                continue
+            per_gap = kernels.leaf_gap_grads(bundle, table)
+            assert all(jac.shape == table[0].shape for jac in per_gap)
+            gathered = [jac.take(table[1]) for jac in per_gap]
+            _same_bytes(gathered, _dense_leaf(bundle, xs, ys)[1]())
+            checked += 1
+    assert checked > 100
+
+
+def test_per_gap_jacobians_are_for_se_and_per_only():
+    table = kernels.gap_table(np.linspace(0.0, 3.0, 5), np.linspace(0.0, 3.0, 5))
+    for tag, hypers in (("LIN", [0.5]), ("C", [1.0]), ("WN", [0.3])):
+        with pytest.raises(StructureError):
+            kernels.leaf_gap_grads(leaf(tag, *hypers).nodes[1], table)
+
+
+def _dense_gradients(state):
+    """The gradient sweep on full n x n Jacobians and a solve against I."""
+    nodes = state.ast.nodes
+    grads = {site: 0.0 for site in gradient_sites(state.ast)}
+    for data in state.datasets:
+        factor = observed_chol(state.ast, data, state.noise_var)
+        alpha = cho_solve(factor, data.ys)
+        a_inv = cho_solve(factor, np.eye(len(data)))
+        mats = cov_matrices(state.ast, data.xs)
+        adjoints = {1: 0.5 * (np.outer(alpha, alpha) - a_inv)}
+        for node in sorted(nodes):
+            bundle = nodes[node]
+            if bundle.is_branch:
+                left, right, parent = 2 * node, 2 * node + 1, adjoints[node]
+                if bundle.operator is Operator.SUM:
+                    adjoints[left] = adjoints[right] = parent
+                else:
+                    adjoints[left] = parent * mats[right]
+                    adjoints[right] = parent * mats[left]
+        for node, slot in grads:
+            jac = leaf_cov_grads(nodes[node], data.xs)[slot]
+            grads[(node, slot)] += np.sum(adjoints[node] * jac)
+    for node, slot in grads:
+        t = nodes[node].hypers[slot].unconstrained
+        grads[(node, slot)] *= -1.0 / (1.0 + math.exp(t))
+        grads[(node, slot)] += unconstrained_log_prior_grad(t)
+    return grads
+
+
+@pytest.mark.parametrize("grid", sorted(set(EXACTNESS_GRIDS) - {"cross"}))
+def test_gradient_sweep_matches_a_dense_reference(grid):
+    xs = EXACTNESS_GRIDS[grid][0]
+    ys = np.sin(xs) + 0.3 * np.random.default_rng(73).standard_normal(xs.size)
+    data = Dataset(xs, ys)
+    gen = np.random.default_rng(74)
+    cfg = PriorConfig()
+    trees = 0
+    while trees < 300:
+        ast = sample_ast(cfg, gen)
+        if not (gradient_supported(ast) and gradient_sites(ast)):
+            continue
+        state = TraceState.init(ast, data, cfg, np.random.default_rng(0))
+        got, want = hyper_gradients(state), _dense_gradients(state)
+        assert got.keys() == want.keys()
+        # Either side's A^{-1} carries a relative error of order cond(A) * eps:
+        # on a LIN * LIN * LIN tree over [0, 12] (cond 1.2e8) both differ
+        # from a 40-digit gradient by up to 7e-9.
+        factor = state.chols[0]
+        rounding = 4.0 * np.finfo(float).eps * np.linalg.cond(factor @ factor.T)
+        for site, value in want.items():
+            tol = max(1e-9, rounding) * max(1.0, abs(value))
+            assert abs(got[site] - value) <= tol, (ast.nodes, site)
+        trees += 1
 
 
 def test_gap_table_holds_each_distinct_gap_once_read_only():
