@@ -34,6 +34,7 @@ from covsearch.prior import (
     sample_subtree,
     subtree_log_prior,
     unconstrained_log_prior,
+    unconstrained_log_prior_grad,
 )
 
 from conftest import leaf, toy_data, tree
@@ -410,8 +411,6 @@ def test_gradients_of_series_sharing_a_factor_add_up():
     joint = hyper_gradients(new_state(ast, series))
     alone = [hyper_gradients(new_state(ast, [data])) for data in series]
     for key, got in joint.items():
-        from covsearch.prior import unconstrained_log_prior_grad
-
         t = ast.nodes[key[0]].hypers[key[1]].unconstrained
         want = sum(grads[key] for grads in alone) - 2 * unconstrained_log_prior_grad(t)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
