@@ -50,8 +50,8 @@ _CONTROLS = (
 LAPACK_INT = ctypes.c_int64
 
 
-def _mapped_openblas_paths() -> list[str]:
-    """Files of the OpenBLAS libraries mapped into this process (Linux)."""
+def _openblas_libraries() -> list[ctypes.CDLL]:
+    """Each OpenBLAS library mapped into this process (Linux), opened."""
     try:
         with open("/proc/self/maps") as handle:
             lines = handle.read().splitlines()
@@ -62,17 +62,19 @@ def _mapped_openblas_paths() -> list[str]:
         fields = line.split(maxsplit=5)
         if len(fields) == 6 and "openblas" in os.path.basename(fields[5]).lower():
             paths.add(fields[5])
-    return sorted(paths)
+    libraries = []
+    for path in sorted(paths):
+        try:
+            libraries.append(ctypes.CDLL(path))
+        except OSError:
+            pass
+    return libraries
 
 
 def openblas_pools() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
     """(get, set) thread-count controls of each OpenBLAS loaded here."""
     pools = []
-    for path in _mapped_openblas_paths():
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
+    for lib in _openblas_libraries():
         for pattern in _CONTROLS:
             get = getattr(lib, pattern.format("get"), None)
             put = getattr(lib, pattern.format("set"), None)
@@ -94,11 +96,7 @@ def lapack_solvers() -> tuple[Callable, Callable, Callable] | None:
     ref, address, char, length = (
         ctypes.POINTER(LAPACK_INT), ctypes.c_void_p, ctypes.c_char_p, ctypes.c_size_t
     )
-    for path in _mapped_openblas_paths():
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
+    for lib in _openblas_libraries():
         potrs = getattr(lib, "scipy_dpotrs_64_", None)
         trtrs = getattr(lib, "scipy_dtrtrs_64_", None)
         potri = getattr(lib, "scipy_dpotri_64_", None)

@@ -18,7 +18,7 @@ import numpy as np
 from .baseline import blr_baseline
 from .blas import single_blas_thread
 from .clustering import modal_partition, run_cluster_schedule
-from .config import RunConfig, load_config, with_chains, with_seed, with_task
+from .config import RunConfig, load_config
 from .data import (
     SYNTH_KINDS,
     IngestResult,
@@ -95,13 +95,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_run_config(args) -> RunConfig:
-    cfg = load_config(args.config, tuple(args.overrides))
-    cfg = with_task(cfg, args.task)
+    """The config of the file and `--set`, then of the subcommand and flags."""
+    overrides = [*args.overrides, f"run.task={args.task}"]
     if args.seed is not None:
-        cfg = with_seed(cfg, args.seed)
+        overrides.append(f"schedule.seed={args.seed}")
     if getattr(args, "chains", None) is not None:
-        cfg = with_chains(cfg, args.chains)
-    return cfg
+        overrides.append(f"schedule.chains={args.chains}")
+    return load_config(args.config, tuple(overrides))
 
 
 def _ingest(args, cfg: RunConfig) -> IngestResult:

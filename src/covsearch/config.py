@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .clustering import DEFAULT_CONCENTRATION
@@ -96,45 +96,39 @@ def _parse_weights(raw: str) -> tuple[float, ...]:
         raise ConfigError(f"cannot read {raw!r} as weights: {err}") from None
 
 
-_SECTION_FIELDS = {
-    "run": {
-        "task": str,
-        "noise_var": float,
-        "standardize": _parse_bool,
-        "holdout_fraction": float,
-        "holdout_mode": str,
-        "probe_count": int,
-        "emit_sample_curves": int,
-        "compare_structure": str,
-    },
-    "prior": {
-        "p_branch": float,
-        "kernel_weights": _parse_weights,
-        "operator_weights": _parse_weights,
-        "max_depth": int,
-    },
-    "schedule": {
-        "sweeps": int,
-        "hyper_steps": int,
-        "structure_steps": int,
-        "step_size": float,
-        "chains": int,
-        "seed": int,
-        "burn_in": float,
-        "hyper_mode": str,
-        "size_correction": _parse_bool,
-    },
-    "cluster": {
-        "concentration": float,
-    },
+# Parsers by field annotation, which postponed evaluation leaves as a
+# string in `Field.type`.
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "bool": _parse_bool,
+    "bool | None": _parse_bool,
+    "tuple[float, ...]": _parse_weights,
+    "tuple[float, float, float]": _parse_weights,
 }
 
 
+# The INI schema: [run] holds RunConfig's own fields but `concentration`,
+# which [cluster] holds; [prior] and [schedule] hold the nested configs'.
+_NESTED = {"prior": PriorConfig, "schedule": ScheduleConfig}
+
+
+def _keys(cls) -> dict:
+    """Each settable field of a config dataclass, with its annotation's parser."""
+    return {f.name: _PARSERS[f.type] for f in fields(cls) if f.name not in _NESTED}
+
+
+_SCHEMA = {"run": _keys(RunConfig)}
+_SCHEMA.update((name, _keys(cls)) for name, cls in _NESTED.items())
+_SCHEMA["cluster"] = {"concentration": _SCHEMA["run"].pop("concentration")}
+
+
 def _convert(section: str, key: str, raw: str):
-    fields = _SECTION_FIELDS.get(section)
-    if fields is None:
+    keys = _SCHEMA.get(section)
+    if keys is None:
         raise ConfigError(f"unknown config section [{section}]")
-    parser = fields.get(key)
+    parser = keys.get(key)
     if parser is None:
         raise ConfigError(f"unknown key {key!r} in section [{section}]")
     try:
@@ -145,27 +139,8 @@ def _convert(section: str, key: str, raw: str):
         raise ConfigError(f"[{section}] {key}: {err}") from None
 
 
-def _assemble(values: dict[str, dict]) -> RunConfig:
-    try:
-        prior = PriorConfig(**values["prior"])
-        schedule = ScheduleConfig(**values["schedule"])
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-    run = dict(values["run"])
-    run["concentration"] = values["cluster"].get(
-        "concentration", DEFAULT_CONCENTRATION
-    )
-    return RunConfig(prior=prior, schedule=schedule, **run)
-
-
-def load_config(path=None, overrides: tuple[str, ...] = ()) -> RunConfig:
-    """Build a RunConfig from an optional INI file plus overrides.
-
-    Overrides use the form `section.key=value` and pass through the
-    same parsing and validation paths as the file. Unknown sections or
-    keys are errors rather than silently ignored.
-    """
-    values: dict[str, dict] = {name: {} for name in _SECTION_FIELDS}
+def _entries(path, overrides: tuple[str, ...]):
+    """(section, key, raw) of each file entry, then of each override."""
     if path is not None:
         path = Path(path)
         if not path.exists():
@@ -178,10 +153,7 @@ def load_config(path=None, overrides: tuple[str, ...] = ()) -> RunConfig:
             raise ConfigError(f"{path}: {err}") from None
         for section in parser.sections():
             for key, raw in parser.items(section):
-                values.setdefault(section, {})
-                if section not in _SECTION_FIELDS:
-                    raise ConfigError(f"unknown config section [{section}]")
-                values[section][key] = _convert(section, key, raw)
+                yield section, key, raw
     for override in overrides:
         if "=" not in override or "." not in override.split("=", 1)[0]:
             raise ConfigError(
@@ -189,25 +161,24 @@ def load_config(path=None, overrides: tuple[str, ...] = ()) -> RunConfig:
             )
         address, raw = override.split("=", 1)
         section, key = address.split(".", 1)
-        section = section.strip()
-        key = key.strip()
-        if section not in _SECTION_FIELDS:
-            raise ConfigError(f"unknown config section [{section}]")
+        yield section.strip(), key.strip(), raw
+
+
+def load_config(path=None, overrides: tuple[str, ...] = ()) -> RunConfig:
+    """Build a RunConfig from an optional INI file plus overrides.
+
+    Overrides use the form `section.key=value` and pass through the
+    same parsing and validation paths as the file. Unknown sections or
+    keys are errors rather than silently ignored.
+    """
+    values: dict[str, dict] = {section: {} for section in _SCHEMA}
+    for section, key, raw in _entries(path, overrides):
         values[section][key] = _convert(section, key, raw)
-    return _assemble(values)
-
-
-def with_task(cfg: RunConfig, task: str) -> RunConfig:
-    return replace(cfg, task=task)
-
-
-def with_seed(cfg: RunConfig, seed: int) -> RunConfig:
-    return replace(cfg, schedule=replace(cfg.schedule, seed=seed))
-
-
-def with_chains(cfg: RunConfig, chains: int) -> RunConfig:
     try:
-        schedule = replace(cfg.schedule, chains=chains)
+        prior = PriorConfig(**values["prior"])
+        schedule = ScheduleConfig(**values["schedule"])
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    return replace(cfg, schedule=schedule)
+    return RunConfig(
+        prior=prior, schedule=schedule, **values["run"], **values["cluster"]
+    )

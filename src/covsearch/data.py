@@ -108,11 +108,12 @@ def ingest_csv(path, standardize: bool = False) -> IngestResult:
     if not path.exists():
         raise DataError(f"data file {path} does not exist")
     with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    rows = [row for row in rows if row]
+        reader = csv.reader(handle)
+        # Blank rows are skipped; the others keep their line in the file.
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise DataError(f"{path}: file is empty")
-    header = [cell.strip().lower() for cell in rows[0]]
+    header = [cell.strip().lower() for cell in rows[0][1]]
     if header == ["x", "y"]:
         grouped: dict[str, list[tuple[float, float]]] = {"series": []}
         id_col = None
@@ -121,9 +122,9 @@ def ingest_csv(path, standardize: bool = False) -> IngestResult:
         id_col = 0
     else:
         raise DataError(
-            f"{path}: header must be 'x,y' or 'series_id,x,y', got {rows[0]!r}"
+            f"{path}: header must be 'x,y' or 'series_id,x,y', got {rows[0][1]!r}"
         )
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in rows[1:]:
         width = 2 if id_col is None else 3
         if len(row) != width:
             raise DataError(

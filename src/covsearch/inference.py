@@ -33,16 +33,13 @@ from .gp import (
     predict,
 )
 from .kernels import (
-    STATIONARY_GRADIENT_LEAVES,
     BaseKernel,
     HyperSite,
     KernelAst,
-    NodeBundle,
     Operator,
+    contract_leaf,
     cov_matrices,
     hyper_sites,
-    leaf_cov_grads,
-    leaf_gap_grads,
     replace_subtree,
     structure_label,
     with_hyper,
@@ -277,15 +274,12 @@ def hyper_gradients(state: TraceState) -> dict[tuple[int, int], float]:
     0.5 (alpha alpha^T - A^{-1}); a sum node passes its adjoint to both
     children, a product node multiplies it elementwise by the sibling's
     covariance; at a leaf the adjoint contracts against the leaf's
-    hyperparameter Jacobian. The chain rule through the softplus link
-    and the Logistic prior term finish the job.
+    hyperparameter Jacobian (`kernels.contract_leaf`). The chain rule
+    through the softplus link and the Logistic prior term finish the job.
 
     A^{-1}, and the subtree covariances when a product node needs them,
     are made once per distinct factor object, so datasets on one input
-    grid share them. An SE or PER leaf's Jacobian depends on the inputs
-    only through their gap, so its contraction sums the adjoint over
-    each distinct gap of the dataset's table and dots the per-gap
-    Jacobian with those sums; LIN and C contract dense matrices.
+    grid share them.
     """
     if not gradient_supported(state.ast):
         raise UnsupportedMoveError(
@@ -328,7 +322,9 @@ def hyper_gradients(state: TraceState) -> dict[tuple[int, int], float]:
         contracted: dict[int, list[float]] = {}
         for node, slot in sites:
             if node not in contracted:
-                contracted[node] = _contract_leaf(nodes[node], adjoints[node], data)
+                contracted[node] = contract_leaf(
+                    nodes[node], adjoints[node], data.xs, data.gaps
+                )
             grads[(node, slot)] += contracted[node][slot]
     for node, slot in sites:
         site = nodes[node].hypers[slot]
@@ -338,19 +334,6 @@ def hyper_gradients(state: TraceState) -> dict[tuple[int, int], float]:
         grads[(node, slot)] *= dh_dt
         grads[(node, slot)] += unconstrained_log_prior_grad(site.unconstrained)
     return grads
-
-
-def _contract_leaf(
-    bundle: NodeBundle, adjoint: np.ndarray, data: Dataset
-) -> list[float]:
-    """sum_ij adjoint_ij d cov_ij / d h for each constrained hyper of a leaf."""
-    if bundle.kernel in STATIONARY_GRADIENT_LEAVES:
-        gaps, index = data.gaps
-        sums = np.bincount(index.ravel(), weights=adjoint.ravel(), minlength=gaps.size)
-        return [float(jac @ sums) for jac in leaf_gap_grads(bundle, data.gaps)]
-    return [
-        float(np.sum(adjoint * jac)) for jac in leaf_cov_grads(bundle, data.xs, data.gaps)
-    ]
 
 
 # Unconstrained coordinates are kept where the softplus link still

@@ -295,13 +295,13 @@ def _leaf(bundle: NodeBundle, xs: np.ndarray, ys: np.ndarray, gaps=None):
     callable giving d cov / d h for each constrained hyper, built on
     request from the same intermediates.
 
-    SE, PER and WN depend on x and y only through d = |x - y|. With a
-    `gap_table` of the inputs they are evaluated once per distinct gap
-    and gathered into the n x m matrix; without one, on every pair. The
-    two give the same bits, each entry being the same IEEE operations on
-    the same double: d * d equals (x - y) * (x - y) exactly, and for
-    finite inputs x == y exactly when d == 0, so WN's ties are the zero
-    gaps.
+    SE, PER and WN depend on x and y only through d = |x - y|
+    (`_distance_leaf`). With a `gap_table` of the inputs they are
+    evaluated once per distinct gap and gathered into the n x m matrix;
+    without one, on every pair. The two give the same bits, each entry
+    being the same IEEE operations on the same double: d * d equals
+    (x - y) * (x - y) exactly, and for finite inputs x == y exactly when
+    d == 0, so WN's ties are the zero gaps.
     """
     h = [site.constrained for site in bundle.hypers]
     kind = bundle.kernel
@@ -311,17 +311,23 @@ def _leaf(bundle: NodeBundle, xs: np.ndarray, ys: np.ndarray, gaps=None):
     if kind is BaseKernel.LIN:
         value = np.outer(xs - h[0], ys - h[0])
         return value, lambda: [np.add.outer(h[0] - xs, h[0] - ys)]
-    d, index = (np.abs(np.subtract.outer(xs, ys)), None) if gaps is None else gaps
+    if gaps is None:
+        return _distance_leaf(bundle, np.abs(np.subtract.outer(xs, ys)))
+    distinct, index = gaps
+    value, jacobian = _distance_leaf(bundle, distinct)
+    return value.take(index), lambda: [jac.take(index) for jac in jacobian()]
 
-    def full(per_gap: np.ndarray) -> np.ndarray:
-        return per_gap if index is None else per_gap.take(index)
 
+def _distance_leaf(bundle: NodeBundle, d: np.ndarray):
+    """A WN, SE or PER leaf's value and Jacobian callable at the distances `d`."""
+    h = [site.constrained for site in bundle.hypers]
+    kind = bundle.kernel
     if kind is BaseKernel.WN:
         ties = (d == 0.0).astype(float)
-        return full(h[0] * ties), lambda: [full(ties)]
+        return h[0] * ties, lambda: [ties]
     if kind is BaseKernel.SE:
         k = np.exp(-0.5 * d * d / (h[0] * h[0]))
-        return full(k), lambda: [full(k * d**2 / h[0] ** 3)]
+        return k, lambda: [k * d**2 / h[0] ** 3]
     if kind is not BaseKernel.PER:
         raise StructureError(f"unknown base kernel {kind!r}")
     ang = np.pi * d / h[1]
@@ -331,9 +337,9 @@ def _leaf(bundle: NodeBundle, xs: np.ndarray, ys: np.ndarray, gaps=None):
     def jacobian():
         dk_dh = k * 4.0 * s * s / h[0] ** 3
         dk_dp = k * (2.0 * np.pi * d / (h[0] ** 2 * h[1] ** 2)) * np.sin(2.0 * ang)
-        return [full(dk_dh), full(dk_dp)]
+        return [dk_dh, dk_dp]
 
-    return full(k), jacobian
+    return k, jacobian
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -447,24 +453,19 @@ def leaf_cov_grads(bundle: NodeBundle, xs: np.ndarray, gaps=None) -> list[np.nda
     return jacobian()
 
 
-# Leaves whose Jacobian `leaf_gap_grads` gives per distinct gap.
-STATIONARY_GRADIENT_LEAVES = (BaseKernel.SE, BaseKernel.PER)
+def contract_leaf(bundle: NodeBundle, adjoint: np.ndarray, xs, gaps) -> list[float]:
+    """sum_ij adjoint_ij d cov_ij / d h for each constrained hyper of a leaf.
 
-_ORIGIN = np.zeros(1)
-
-
-def leaf_gap_grads(bundle: NodeBundle, gaps) -> list[np.ndarray]:
-    """d k / d h for each constrained hyper of an SE or PER leaf, per gap.
-
-    `gaps` is a `gap_table`; entry g of each vector is the Jacobian at
-    its g-th distinct gap, so gathering it through the table's index
-    gives `leaf_cov_grads`'s matrix bit for bit. `_leaf` evaluates its
-    formulas on the pairs (gap, 0), whose distance |g - 0| is g exactly.
+    `gaps` is `gap_table(xs, xs)`. SE and PER depend on the inputs only
+    through their gap, so the adjoint is summed over each distinct gap
+    and the sums are dotted with the Jacobian per gap; LIN and C
+    contract the dense matrices of `leaf_cov_grads`.
     """
-    if bundle.kernel not in STATIONARY_GRADIENT_LEAVES:
-        raise StructureError(f"no per-gap Jacobian for {bundle.kernel!r}")
-    _, jacobian = _leaf(bundle, gaps[0], _ORIGIN)
-    return [column[:, 0] for column in jacobian()]
+    if bundle.kernel in (BaseKernel.SE, BaseKernel.PER):
+        distinct, index = gaps
+        sums = np.bincount(index.ravel(), weights=adjoint.ravel(), minlength=distinct.size)
+        return [float(jac @ sums) for jac in _distance_leaf(bundle, distinct)[1]()]
+    return [float(np.sum(adjoint * jac)) for jac in leaf_cov_grads(bundle, xs, gaps)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """CSV ingestion, synthetic data, baselines, configuration, and the CLI."""
 
+import argparse
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +16,7 @@ import covsearch
 from covsearch.baseline import blr_baseline, nig_posterior
 from covsearch.blas import THREAD_VARS, openblas_pools
 from covsearch.cli import main
-from covsearch.config import (
-    RunConfig,
-    load_config,
-    with_chains,
-    with_seed,
-    with_task,
-)
+from covsearch.config import TASKS, RunConfig, load_config
 from covsearch.data import (
     HOLDOUT_MODES,
     SYNTH_KINDS,
@@ -33,7 +29,9 @@ from covsearch.data import (
 )
 from covsearch.errors import ConfigError, DataError
 from covsearch.gp import Dataset, predict
+from covsearch.inference import ScheduleConfig
 from covsearch.kernels import structure_label
+from covsearch.prior import PriorConfig
 from covsearch.results import emit_results, fmt_float, mse, render_histogram, rmse
 
 from conftest import toy_data, tree
@@ -73,6 +71,8 @@ def test_ingest_multi_series_keeps_first_appearance_order(tmp_path):
         ("a,b\n0,1\n", "header"),
         ("x,y\n0\n", "line 2"),
         ("x,y\n0,1\n1,one\n", "line 3"),
+        ("x,y\n1,2\n\n\n3\n", "line 5"),
+        ("x,y\n1,2\n\n\n3,abc\n", "line 5"),
         ("x,y\n0,inf\n", "line 2"),
         ("x,y\n", "no rows"),
         ("", "empty"),
@@ -257,8 +257,9 @@ def test_config_defaults():
 
 
 def test_resolved_standardize_tracks_task():
-    assert with_task(load_config(), "compare-inference").resolved_standardize() is False
-    assert with_task(load_config(), "cluster").resolved_standardize() is True
+    for task, standardize in (("compare-inference", False), ("cluster", True)):
+        cfg = load_config(overrides=(f"run.task={task}",))
+        assert cfg.resolved_standardize() is standardize
     forced = load_config(overrides=("run.standardize=false",))
     assert forced.resolved_standardize() is False
 
@@ -319,14 +320,103 @@ def test_config_rejects_unknown_file_sections(tmp_path):
         load_config(tmp_path / "missing.ini")
 
 
-def test_with_helpers():
-    cfg = load_config()
-    assert with_seed(cfg, 99).schedule.seed == 99
-    assert with_chains(cfg, 4).schedule.chains == 4
+# The 22 settable config keys, each with a raw value other than its
+# default and the value it parses to.
+CONFIG_VALUES = {
+    ("run", "task"): ("cluster", "cluster"),
+    ("run", "noise_var"): ("0.25", 0.25),
+    ("run", "standardize"): ("off", False),
+    ("run", "holdout_fraction"): ("0.3", 0.3),
+    ("run", "holdout_mode"): ("random", "random"),
+    ("run", "probe_count"): ("50", 50),
+    ("run", "emit_sample_curves"): ("3", 3),
+    ("run", "compare_structure"): ('["SE", 2.0]', '["SE", 2.0]'),
+    ("prior", "p_branch"): ("0.4", 0.4),
+    ("prior", "kernel_weights"): ("0.5,0.5,0,0,0", (0.5, 0.5, 0.0, 0.0, 0.0)),
+    ("prior", "operator_weights"): ("0.5, 0.5, 0", (0.5, 0.5, 0.0)),
+    ("prior", "max_depth"): ("4", 4),
+    ("schedule", "sweeps"): ("7", 7),
+    ("schedule", "hyper_steps"): ("8", 8),
+    ("schedule", "structure_steps"): ("9", 9),
+    ("schedule", "step_size"): ("0.02", 0.02),
+    ("schedule", "chains"): ("3", 3),
+    ("schedule", "seed"): ("11", 11),
+    ("schedule", "burn_in"): ("0.5", 0.5),
+    ("schedule", "hyper_mode"): ("mh", "mh"),
+    ("schedule", "size_correction"): ("no", False),
+    ("cluster", "concentration"): ("1.5", 1.5),
+}
+
+
+def _owner(cfg, section):
+    return {"prior": cfg.prior, "schedule": cfg.schedule}.get(section, cfg)
+
+
+def test_config_schema_is_the_config_dataclasses_fields():
+    nested = {"prior": PriorConfig, "schedule": ScheduleConfig}
+    declared = [
+        ("cluster" if f.name == "concentration" else "run", f.name)
+        for f in fields(RunConfig)
+        if f.name not in nested
+    ]
+    for section, cls in nested.items():
+        declared += [(section, f.name) for f in fields(cls)]
+    assert len(CONFIG_VALUES) == 22
+    assert sorted(declared) == sorted(CONFIG_VALUES)
+    names = {key for _, key in CONFIG_VALUES} | set(nested)
+    for section in ("run", "prior", "schedule", "cluster"):
+        for key in sorted(names):
+            if (section, key) not in CONFIG_VALUES:
+                with pytest.raises(ConfigError, match="unknown key"):
+                    load_config(overrides=(f"{section}.{key}=1",))
+
+
+@pytest.mark.parametrize("via", ("set", "file"))
+def test_each_config_key_sets_its_field(tmp_path, via):
+    default = load_config()
+    ini = tmp_path / "one.ini"
+    for (section, key), (raw, want) in CONFIG_VALUES.items():
+        assert getattr(_owner(default, section), key) != want
+        if via == "set":
+            cfg = load_config(overrides=(f"{section}.{key}={raw}",))
+        else:
+            ini.write_text(f"[{section}]\n{key} = {raw}\n")
+            cfg = load_config(ini)
+        assert getattr(_owner(cfg, section), key) == want
+
+
+def _cli_config(*flags):
+    import covsearch.cli as cli
+
+    argv = ["fit", "--data", "d.csv", "--out", "o", *flags]
+    return cli._load_run_config(cli._build_parser().parse_args(argv))
+
+
+def test_seed_and_chains_flags_set_the_schedule():
+    cfg = _cli_config("--seed", "99", "--chains", "4")
+    assert cfg.schedule.seed == 99
+    assert cfg.schedule.chains == 4
     with pytest.raises(ConfigError):
-        with_chains(cfg, 0)
+        _cli_config("--chains", "0")
     with pytest.raises(ConfigError):
         RunConfig(task="explore")
+
+
+def test_subcommand_and_flags_win_over_set():
+    assert _cli_config("--set", "schedule.seed=1", "--seed", "2").schedule.seed == 2
+    assert _cli_config("--set", "schedule.chains=3", "--chains", "2").schedule.chains == 2
+    assert _cli_config("--set", "run.task=cluster").task == "fit"
+
+
+def test_cli_subcommands_are_the_config_tasks():
+    import covsearch.cli as cli
+
+    [subcommands] = [
+        action
+        for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert tuple(subcommands.choices) == TASKS
 
 
 # ---------------------------------------------------------------------------

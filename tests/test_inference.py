@@ -340,7 +340,7 @@ def test_gradients_sum_over_datasets():
 
 
 def test_gradient_sweep_builds_each_leaf_jacobian_once(monkeypatch):
-    import covsearch.inference as inference
+    import covsearch.kernels as kernels
 
     ast = tree(["+", ["PER", 0.91, 2.0], ["*", ["SE", 1.51], ["PER", 1.2, 3.0]]])
     parts = [toy_data(seed=21, n=5), toy_data(seed=22, n=4)]
@@ -348,16 +348,24 @@ def test_gradient_sweep_builds_each_leaf_jacobian_once(monkeypatch):
     want = hyper_gradients(state)
     built = []
 
-    def counted(jacobians):
-        def wrapper(bundle, *args):
-            built.append(bundle)
-            return jacobians(bundle, *args)
+    dense, per_distance = kernels.leaf_cov_grads, kernels._distance_leaf
 
-        return wrapper
+    def counted_dense(bundle, *args):
+        built.append(bundle)
+        return dense(bundle, *args)
+
+    def counted_per_distance(bundle, d):
+        value, jacobian = per_distance(bundle, d)
+
+        def counted_jacobian():
+            built.append(bundle)
+            return jacobian()
+
+        return value, counted_jacobian
 
     # Dense Jacobians (LIN, C) and per-gap ones (SE, PER) both count.
-    for name in ("leaf_cov_grads", "leaf_gap_grads"):
-        monkeypatch.setattr(inference, name, counted(getattr(inference, name)))
+    monkeypatch.setattr(kernels, "leaf_cov_grads", counted_dense)
+    monkeypatch.setattr(kernels, "_distance_leaf", counted_per_distance)
     assert hyper_gradients(state) == want
     assert len(built) == 3 * len(parts)
 
@@ -424,20 +432,20 @@ def test_gradient_sweep_gathers_through_each_dataset_gap_table(monkeypatch):
     state = new_state(ast, parts)
     want = hyper_gradients(state)
     tables = []
-    leaf = kernels._leaf
+    per_distance = kernels._distance_leaf
 
-    def seen(bundle, xs, ys, gaps=None):
-        # A covariance build passes the table, a per-gap Jacobian its gaps.
-        tables.append(gaps if gaps is not None else xs)
-        return leaf(bundle, xs, ys, gaps)
+    def seen(bundle, d):
+        # Covariance builds and per-gap Jacobians both pass the table's gaps.
+        tables.append(d)
+        return per_distance(bundle, d)
 
-    monkeypatch.setattr(kernels, "_leaf", seen)
+    monkeypatch.setattr(kernels, "_distance_leaf", seen)
     assert hyper_gradients(state) == want
     # Per dataset: three leaves' covariances, then the leaf Jacobians.
     per_dataset = len(tables) // len(parts)
     assert per_dataset > 3
     assert [id(t) for t in tables] == [
-        id(d.gaps if k < 3 else d.gaps[0]) for d in parts for k in range(per_dataset)
+        id(d.gaps[0]) for d in parts for _ in range(per_dataset)
     ]
 
 

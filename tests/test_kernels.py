@@ -476,9 +476,9 @@ def test_per_gap_jacobians_gather_to_the_dense_ones_bit_for_bit(grid):
     checked = 0
     for ast in random_asts(300, seed=72):
         for bundle in ast.nodes.values():
-            if bundle.kernel not in kernels.STATIONARY_GRADIENT_LEAVES:
+            if bundle.kernel not in (BaseKernel.SE, BaseKernel.PER):
                 continue
-            per_gap = kernels.leaf_gap_grads(bundle, table)
+            per_gap = kernels._distance_leaf(bundle, table[0])[1]()
             assert all(jac.shape == table[0].shape for jac in per_gap)
             gathered = [jac.take(table[1]) for jac in per_gap]
             _same_bytes(gathered, _dense_leaf(bundle, xs, ys)[1]())
@@ -486,11 +486,28 @@ def test_per_gap_jacobians_gather_to_the_dense_ones_bit_for_bit(grid):
     assert checked > 100
 
 
-def test_per_gap_jacobians_are_for_se_and_per_only():
-    table = kernels.gap_table(np.linspace(0.0, 3.0, 5), np.linspace(0.0, 3.0, 5))
-    for tag, hypers in (("LIN", [0.5]), ("C", [1.0]), ("WN", [0.3])):
+def test_per_gap_jacobians_are_for_se_and_per_only(monkeypatch):
+    xs = np.linspace(0.0, 3.0, 5)
+    table = kernels.gap_table(xs, xs)
+    adjoint = np.random.default_rng(73).standard_normal((5, 5))
+    dense = []
+    leaf_cov_grads = kernels.leaf_cov_grads
+
+    def counted(bundle, *args):
+        dense.append(bundle.kernel)
+        return leaf_cov_grads(bundle, *args)
+
+    monkeypatch.setattr(kernels, "leaf_cov_grads", counted)
+    for tag, hypers in (("LIN", [0.5]), ("C", [1.0]), ("WN", [0.3]),
+                        ("SE", [1.5]), ("PER", [0.9, 2.0])):
+        bundle = leaf(tag, *hypers).nodes[1]
+        got = kernels.contract_leaf(bundle, adjoint, xs, table)
+        want = [np.sum(adjoint * jac) for jac in _dense_leaf(bundle, xs, xs)[1]()]
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert dense == [BaseKernel.LIN, BaseKernel.C, BaseKernel.WN]
+    for tag, hypers in (("LIN", [0.5]), ("C", [1.0])):
         with pytest.raises(StructureError):
-            kernels.leaf_gap_grads(leaf(tag, *hypers).nodes[1], table)
+            kernels._distance_leaf(leaf(tag, *hypers).nodes[1], table[0])
 
 
 def _dense_gradients(state):
