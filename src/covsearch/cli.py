@@ -31,6 +31,7 @@ from .errors import ConfigError, DataError, NumericError, StructureError
 from .inference import (
     averaged_predictions,
     drop_burn_in,
+    gradient_sites,
     gradient_supported,
     map_structure,
     run_hyper_inference,
@@ -128,7 +129,7 @@ def _run_fit_predict(args, cfg: RunConfig) -> None:
         full, fraction, cfg.holdout_mode, np.random.default_rng(cfg.schedule.seed)
     )
     samples = run_schedule(
-        train, None, cfg.schedule, prior=cfg.prior, noise_var=cfg.noise_var
+        train, cfg.schedule, prior=cfg.prior, noise_var=cfg.noise_var
     )
     if not samples:
         raise ConfigError("schedule recorded no samples; increase sweeps")
@@ -202,7 +203,6 @@ def _run_cluster(args, cfg: RunConfig) -> None:
     series = [data for _, data in ingested.series]
     samples = run_cluster_schedule(
         series,
-        None,
         cfg.schedule,
         concentration=cfg.concentration,
         prior=cfg.prior,
@@ -247,6 +247,11 @@ def _compare_skeleton(cfg: RunConfig):
             "compare_structure contains a changepoint; the gradient "
             "method is undefined for it"
         )
+    if not gradient_sites(skeleton):
+        raise ConfigError(
+            "compare_structure has no hyperparameter that gradient steps "
+            "move (white-noise scales stay on MH moves)"
+        )
     return skeleton
 
 
@@ -273,28 +278,28 @@ def _run_compare(args, cfg: RunConfig) -> None:
         "methods": {},
     }
     for method in ("mh", "gradient"):
-        traces, finals = run_hyper_inference(
+        samples, finals = run_hyper_inference(
             train,
             skeleton,
-            steps,
             method,
             cfg.schedule,
             prior=cfg.prior,
             noise_var=cfg.noise_var,
         )
         columns: dict[str, np.ndarray] = {
-            "chain": np.array([t.chain for t in traces], dtype=float),
-            "step": np.array([t.step for t in traces], dtype=float),
-            "log_joint": np.array([t.log_joint for t in traces]),
+            "chain": np.array([t.chain for t in samples], dtype=float),
+            "step": np.array([t.sweep for t in samples], dtype=float),
+            "log_joint": np.array([t.log_joint for t in samples]),
         }
-        for i in range(len(sites)):
-            columns[f"h{i}"] = np.array([t.values[i] for t in traces])
+        for i, (node, slot) in enumerate(sites):
+            columns[f"h{i}"] = np.array(
+                [t.ast.nodes[node].hypers[slot].constrained for t in samples]
+            )
         traces_out[method] = columns
         summary: dict = {"final_log_joints": [s.log_joint for s in finals]}
         if len(held) > 0:
             if method == "mh":
-                cut = int(cfg.schedule.burn_in * steps)
-                posts = [t for t in traces if t.step >= cut] or traces
+                posts = _post_burn(samples, cfg)
                 posts = posts[:: max(1, len(posts) // 200)]
             else:
                 posts = [max(finals, key=lambda s: s.log_joint)]

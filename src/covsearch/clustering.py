@@ -212,23 +212,24 @@ def cluster_sweep(state: ClusterState, cfg: ScheduleConfig) -> ClusterState:
 
 def run_cluster_schedule(
     series: Sequence[Dataset],
-    sweeps: int | None,
     cfg: ScheduleConfig,
     concentration: float = DEFAULT_CONCENTRATION,
     prior: PriorConfig | None = None,
     noise_var: float = DEFAULT_NOISE_VAR,
 ) -> list[ClusterSample]:
-    """Run the clustering chain and record one partition per sweep.
+    """Run one clustering chain for `cfg.sweeps` sweeps; record each partition.
 
-    A single series degenerates to ordinary structure search: every
-    sweep keeps the one-cluster partition and only the tree moves.
+    The chain's generator comes from `cfg.seed`. Hyper moves are MH
+    resimulations only, so `cfg.chains`, `cfg.hyper_mode` and
+    `cfg.step_size` do not act here. A single series degenerates to
+    ordinary structure search: every sweep keeps the one-cluster
+    partition and only the tree moves.
     """
     prior = prior if prior is not None else PriorConfig()
-    total_sweeps = cfg.sweeps if sweeps is None else int(sweeps)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     state = ClusterState.init(series, rng, concentration, prior, noise_var)
     samples: list[ClusterSample] = []
-    for sweep in range(total_sweeps):
+    for sweep in range(cfg.sweeps):
         cluster_sweep(state, cfg)
         partition = canonical_partition(state.assignments)
         labels = []

@@ -63,6 +63,10 @@ class RunConfig:
             raise ConfigError(
                 f"concentration {self.concentration} must be positive"
             )
+        if self.task == "cluster" and self.schedule.chains > 1:
+            raise ConfigError(
+                f"cluster runs one chain; schedule.chains is {self.schedule.chains}"
+            )
 
     def resolved_standardize(self) -> bool:
         if self.standardize is not None:

@@ -16,7 +16,7 @@ gradient of the log joint in unconstrained coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -410,28 +410,33 @@ def _hyper_phase(state: TraceState, cfg: ScheduleConfig) -> None:
 
 def run_schedule(
     data,
-    sweeps: int | None,
     cfg: ScheduleConfig,
     prior: PriorConfig | None = None,
     noise_var: float = DEFAULT_NOISE_VAR,
-    init_ast: KernelAst | None = None,
+    skeleton: KernelAst | None = None,
 ) -> list[PosteriorSample]:
-    """Run the full schedule and record one sample per sweep per chain.
+    """Run `cfg.sweeps` sweeps and record one sample per sweep per chain.
 
     Each sweep interleaves a hyperparameter phase with a block of
     structure moves. Chains draw their generators from one seed
-    sequence, so runs are reproducible given `cfg.seed`. Pass `sweeps`
-    as None to take the count from the config.
+    sequence, so runs are reproducible given `cfg.seed`. Each chain
+    starts at a prior draw: a whole tree, or with `skeleton` a tree of
+    its shape whose hypers are drawn site by site in `hyper_sites` order.
     """
     prior = prior if prior is not None else PriorConfig()
-    total_sweeps = cfg.sweeps if sweeps is None else int(sweeps)
     samples: list[PosteriorSample] = []
     seed_seq = np.random.SeedSequence(cfg.seed)
     for chain, child_seq in enumerate(seed_seq.spawn(cfg.chains)):
         rng = np.random.default_rng(child_seq)
-        ast = init_ast if init_ast is not None else sample_ast(prior, rng)
+        if skeleton is None:
+            ast = sample_ast(prior, rng)
+        else:
+            ast = skeleton
+            for node, slot in hyper_sites(skeleton):
+                offset = skeleton.nodes[node].hypers[slot].offset
+                ast = with_hyper(ast, node, slot, sample_hyper(rng, offset))
         state = TraceState.init(ast, data, prior, rng, noise_var)
-        for sweep in range(total_sweeps):
+        for sweep in range(cfg.sweeps):
             try:
                 _hyper_phase(state, cfg)
                 for _ in range(cfg.structure_steps):
@@ -453,60 +458,33 @@ def run_schedule(
     return samples
 
 
-@dataclass(frozen=True)
-class HyperTracePoint:
-    """One per-step record of a fixed-structure hyperparameter chain."""
-
-    chain: int
-    step: int
-    values: tuple[float, ...]
-    log_joint: float
-    ast: KernelAst
-
-
 def run_hyper_inference(
     data: Dataset,
     skeleton: KernelAst,
-    steps: int,
     method: str,
     cfg: ScheduleConfig,
     prior: PriorConfig | None = None,
     noise_var: float = DEFAULT_NOISE_VAR,
-) -> tuple[list[HyperTracePoint], list[TraceState]]:
-    """Fixed-structure hyperparameter inference with per-step traces.
+) -> tuple[list[PosteriorSample], list[PosteriorSample]]:
+    """Fixed-structure hyperparameter inference, one sample per step.
 
-    Every chain keeps the skeleton's shape but redraws all hypers from
-    the prior as its starting point. `method` is "mh" or "gradient".
-    Returns the traces and each chain's final state.
+    Each chain starts from the skeleton as `run_schedule` does and takes
+    `cfg.sweeps * cfg.hyper_steps` steps of `method`, "mh" or
+    "gradient"; a sample's `sweep` is its step. Returns the samples and
+    each chain's last one.
     """
     if method not in ("mh", "gradient"):
         raise ValueError(f"method {method!r} not one of ('mh', 'gradient')")
-    prior = prior if prior is not None else PriorConfig()
-    traces: list[HyperTracePoint] = []
-    finals: list[TraceState] = []
-    seed_seq = np.random.SeedSequence(cfg.seed)
-    for chain, child_seq in enumerate(seed_seq.spawn(cfg.chains)):
-        rng = np.random.default_rng(child_seq)
-        ast = skeleton
-        for node, slot in hyper_sites(skeleton):
-            offset = skeleton.nodes[node].hypers[slot].offset
-            ast = with_hyper(ast, node, slot, sample_hyper(rng, offset))
-        state = TraceState.init(ast, data, prior, rng, noise_var)
-        site_order = hyper_sites(ast)
-        for step in range(steps):
-            if method == "mh":
-                mh_hyper_step(state)
-            else:
-                gradient_step_hypers(state, cfg.step_size)
-            values = tuple(
-                state.ast.nodes[node].hypers[slot].constrained
-                for node, slot in site_order
-            )
-            traces.append(
-                HyperTracePoint(chain, step, values, state.log_joint, state.ast)
-            )
-        finals.append(state)
-    return traces, finals
+    if method == "gradient" and not (
+        gradient_supported(skeleton) and gradient_sites(skeleton)
+    ):
+        raise UnsupportedMoveError("skeleton has no hyper that gradient steps move")
+    steps = replace(
+        cfg, sweeps=cfg.sweeps * cfg.hyper_steps, hyper_steps=1,
+        structure_steps=0, hyper_mode=method,
+    )
+    samples = run_schedule(data, steps, prior, noise_var, skeleton)
+    return samples, list({sample.chain: sample for sample in samples}.values())
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +566,7 @@ def averaged_predictions(
     covariance, and feeds every group that names it; a sample whose
     `ast` is the very object of the sample before it (a rejected step
     keeps the state's tree) reuses that sample's predictives. Only each
-    sample's `ast` is read, so hyper trace points and chain states serve
-    as well.
+    sample's `ast` is read, so chain states serve as well.
     """
     if not all(groups):
         raise ValueError("no samples to average over")

@@ -228,6 +228,10 @@ def test_criterion_05_period_modes_mh_vs_gradient(capsys):
             ast = with_hyper(ast, node, slot, HyperSite.from_constrained(value, offset))
         return ast
 
+    def hypers(sample):
+        nodes = sample.ast.nodes
+        return [nodes[node].hypers[slot].constrained for node, slot in sites]
+
     def near_3(period):
         return np.abs(period - 3.0) <= 1.0
 
@@ -254,27 +258,29 @@ def test_criterion_05_period_modes_mh_vs_gradient(capsys):
     q_6 = float(period_mass[near_6(grid_p)].sum())
 
     # MH lane: a posterior sample of the period across 12 chains
-    mh_cfg = ScheduleConfig(chains=12, seed=1007)
-    traces, _ = run_hyper_inference(train, skeleton, 800, "mh", mh_cfg)
-    post = [t for t in traces if t.step >= 400]
-    periods = np.array([t.values[1] for t in post])
+    mh_cfg = ScheduleConfig(chains=12, seed=1007, sweeps=800, hyper_steps=1)
+    traces, _ = run_hyper_inference(train, skeleton, "mh", mh_cfg)
+    post = [t for t in traces if t.sweep >= 400]
+    periods = np.array([hypers(t)[1] for t in post])
     share_3 = float(np.mean(near_3(periods)))
     share_6 = float(np.mean(near_6(periods)))
 
     thin = post[::20]
     preds = np.zeros(len(hold))
     for point in thin:
-        preds += cs.predict(rebuild(point.values), train, hold.xs).mean
+        preds += cs.predict(rebuild(hypers(point)), train, hold.xs).mean
     mh_mse = mse(preds / len(thin), hold.ys)
 
     # gradient lane: each run should lock onto a single mode, and the
     # runs together should reach more than one
-    grad_cfg = ScheduleConfig(chains=12, seed=2007, step_size=0.01)
-    gtraces, gfinals = run_hyper_inference(train, skeleton, 600, "gradient", grad_cfg)
+    grad_cfg = ScheduleConfig(
+        chains=12, seed=2007, step_size=0.01, sweeps=600, hyper_steps=1
+    )
+    gtraces, gfinals = run_hyper_inference(train, skeleton, "gradient", grad_cfg)
     concentrations = []
     for chain in range(12):
         tail = np.array(
-            [t.values[1] for t in gtraces if t.chain == chain and t.step >= 300]
+            [hypers(t)[1] for t in gtraces if t.chain == chain and t.sweep >= 300]
         )
         med = float(np.median(tail))
         concentrations.append(float(np.mean(np.abs(tail - med) <= 0.25 * max(med, 1e-9))))
@@ -331,7 +337,7 @@ def test_criterion_06_structure_posterior_and_model_averaging(capsys):
             sweeps=100, hyper_steps=50, structure_steps=100,
             chains=8, seed=seed, burn_in=0.3,
         )
-        kept = drop_burn_in(run_schedule(train, None, cfg), 0.3)
+        kept = drop_burn_in(run_schedule(train, cfg), 0.3)
         all_kept.extend(kept)
         map_label = map_structure(kept)
         avg = averaged_prediction(kept[::3], train, hold.xs, noisy=True)
@@ -368,7 +374,7 @@ def test_criterion_07_clustering_recovers_the_true_partition(capsys):
         cs.synth_data("periodic", 100, np.random.default_rng(34)),
     ]
     cfg = ScheduleConfig(sweeps=128, hyper_steps=40, structure_steps=30, seed=6)
-    samples = cs.run_cluster_schedule(series, None, cfg)
+    samples = cs.run_cluster_schedule(series, cfg)
     tail = samples[-64:]
     counts = {}
     for sample in tail:
@@ -396,7 +402,7 @@ def test_criterion_08_gp_beats_blr_where_it_should(capsys):
     cfg_a = ScheduleConfig(
         sweeps=80, hyper_steps=60, structure_steps=80, chains=8, seed=9, burn_in=0.3
     )
-    kept_a = drop_burn_in(run_schedule(train_a, None, cfg_a), 0.3)
+    kept_a = drop_burn_in(run_schedule(train_a, cfg_a), 0.3)
     gp_a = rmse(
         averaged_prediction(kept_a[::6], train_a, hold_a.xs, noisy=True).mean,
         hold_a.ys,
@@ -409,7 +415,7 @@ def test_criterion_08_gp_beats_blr_where_it_should(capsys):
     cfg_c = ScheduleConfig(
         sweeps=30, hyper_steps=50, structure_steps=50, chains=8, seed=9, burn_in=0.3
     )
-    kept_c = drop_burn_in(run_schedule(train_c, None, cfg_c), 0.3)
+    kept_c = drop_burn_in(run_schedule(train_c, cfg_c), 0.3)
     gp_c = rmse(
         averaged_prediction(kept_c[::4], train_c, hold_c.xs, noisy=True).mean,
         hold_c.ys,
@@ -523,32 +529,44 @@ def test_criterion_10_runs_are_byte_identical(capsys, tmp_path):
     )
     data_file = synth_dir / "lin_plus_per.csv"
 
-    fit_args = (
-        "fit", "--data", str(data_file), "--seed", "21",
-        "--set", "schedule.sweeps=6",
-        "--set", "schedule.hyper_steps=6",
-        "--set", "schedule.structure_steps=6",
-        "--set", "run.probe_count=40",
-    )
-    out_one = env_dir / "one"
-    out_two = env_dir / "two"
-    invoke(*fit_args, "--out", str(out_one))
-    invoke(*fit_args, "--out", str(out_two))
-
-    names = sorted(p.name for p in out_one.iterdir())
-    assert names == sorted(p.name for p in out_two.iterdir())
-    mismatched = [
-        name
-        for name in names
-        if (out_one / name).read_bytes() != (out_two / name).read_bytes()
-    ]
+    runs = {
+        "fit": (
+            "fit", "--data", str(data_file), "--seed", "21",
+            "--set", "schedule.sweeps=6",
+            "--set", "schedule.hyper_steps=6",
+            "--set", "schedule.structure_steps=6",
+            "--set", "run.probe_count=40",
+        ),
+        "compare-inference": (
+            "compare-inference", "--data", str(data_file), "--seed", "21",
+            "--chains", "2",
+            "--set", 'run.compare_structure=["+", ["LIN", 1.0], '
+            '["*", ["PER", 1.0, 1.0], ["SE", 1.0]]]',
+            "--set", "schedule.sweeps=2",
+            "--set", "schedule.hyper_steps=6",
+        ),
+    }
+    names, mismatched = [], []
+    for task, args in runs.items():
+        out_one = env_dir / task / "one"
+        out_two = env_dir / task / "two"
+        invoke(*args, "--out", str(out_one))
+        invoke(*args, "--out", str(out_two))
+        files = sorted(p.name for p in out_one.iterdir())
+        assert files == sorted(p.name for p in out_two.iterdir())
+        names += [f"{task}/{name}" for name in files]
+        mismatched += [
+            f"{task}/{name}"
+            for name in files
+            if (out_one / name).read_bytes() != (out_two / name).read_bytes()
+        ]
     elapsed = time.monotonic() - start
-    ok = not mismatched and len(names) >= 3
+    ok = not mismatched and len(names) >= 6
     report(
         capsys, 10, ok,
-        f"two identical single-chain runs, {len(names)} output files "
-        f"compared byte for byte, mismatches: {mismatched or 'none'}; "
-        f"{elapsed:.0f}s",
+        f"two identical runs each of a single-chain fit and a 2-chain "
+        f"compare-inference, {len(names)} output files compared byte for "
+        f"byte, mismatches: {mismatched or 'none'}; {elapsed:.0f}s",
     )
     assert not mismatched
-    assert len(names) >= 3
+    assert len(names) >= 6

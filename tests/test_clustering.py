@@ -160,33 +160,31 @@ def test_reassignment_tracks_the_crp_on_empty_data():
 
 def test_tiny_concentration_merges_identical_series():
     shared = toy_data(seed=4, n=10)
-    cfg = ScheduleConfig(hyper_steps=2, structure_steps=2, seed=5)
-    samples = run_cluster_schedule(
-        [shared, shared], 60, cfg, concentration=1e-8
-    )
+    cfg = ScheduleConfig(sweeps=60, hyper_steps=2, structure_steps=2, seed=5)
+    samples = run_cluster_schedule([shared, shared], cfg, concentration=1e-8)
     merged = sum(s.partition == ((0, 1),) for s in samples)
     assert merged / len(samples) >= 0.95
 
 
 def test_single_series_degenerates_to_structure_search():
-    cfg = ScheduleConfig(hyper_steps=2, structure_steps=2, seed=6)
-    samples = run_cluster_schedule([toy_data(seed=7, n=5)], 5, cfg)
+    cfg = ScheduleConfig(sweeps=5, hyper_steps=2, structure_steps=2, seed=6)
+    samples = run_cluster_schedule([toy_data(seed=7, n=5)], cfg)
     assert all(s.partition == ((0,),) for s in samples)
     assert all(len(s.labels) == 1 for s in samples)
 
 
 def test_cluster_schedule_deterministic():
     series = [toy_data(seed=s, n=5) for s in (8, 9)]
-    cfg = ScheduleConfig(hyper_steps=3, structure_steps=3, seed=10)
-    first = run_cluster_schedule(series, 6, cfg)
-    second = run_cluster_schedule(series, 6, cfg)
+    cfg = ScheduleConfig(sweeps=6, hyper_steps=3, structure_steps=3, seed=10)
+    first = run_cluster_schedule(series, cfg)
+    second = run_cluster_schedule(series, cfg)
     assert first == second
 
 
 def test_cluster_samples_expose_block_labels():
     series = [toy_data(seed=s, n=5) for s in (11, 12, 13)]
-    cfg = ScheduleConfig(hyper_steps=2, structure_steps=2, seed=14)
-    samples = run_cluster_schedule(series, 4, cfg)
+    cfg = ScheduleConfig(sweeps=4, hyper_steps=2, structure_steps=2, seed=14)
+    samples = run_cluster_schedule(series, cfg)
     for sample in samples:
         assert len(sample.labels) == len(sample.partition)
         assert sum(len(block) for block in sample.partition) == 3

@@ -606,7 +606,7 @@ def test_cli_compare_mh_holdout_mse_averages_the_kept_trace_rows(tmp_path):
     )
     lines = (out / "hyper_traces_mh.csv").read_text().splitlines()
     rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
-    cut = int(cfg.schedule.burn_in * 300)
+    cut = math.ceil(cfg.schedule.burn_in * 300)
     kept = [row for row in rows if row[1] >= cut]
     kept = kept[:: len(kept) // 200]
     assert len(kept) == 240  # 2 chains x 240 post-burn-in steps, every 2nd
@@ -616,6 +616,37 @@ def test_cli_compare_mh_holdout_mse_averages_the_kept_trace_rows(tmp_path):
     want = mse(total / len(kept), held.ys)
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["methods"]["mh"]["holdout_mse"] == want
+
+
+def test_cli_compare_mh_burn_in_cuts_at_the_ceiling(tmp_path):
+    # 0.25 x 10 steps drops 3 of each chain's steps, as drop_burn_in does
+    out_synth = tmp_path / "synth"
+    assert run_cli(
+        "synth-data", "--kind", "periodic", "--n", "24",
+        "--out", str(out_synth), "--seed", "5",
+    ) == 0
+    out = tmp_path / "cmp"
+    assert run_cli(
+        "compare-inference", "--data", str(out_synth / "periodic.csv"),
+        "--out", str(out), "--seed", "4", "--chains", "2",
+        "--set", "schedule.sweeps=2",
+        "--set", "schedule.hyper_steps=5",
+        "--set", "schedule.burn_in=0.25",
+    ) == 0
+    cfg = load_config()
+    train, held = split_holdout(
+        ingest_csv(out_synth / "periodic.csv").dataset,
+        cfg.holdout_fraction, cfg.holdout_mode,
+    )
+    lines = (out / "hyper_traces_mh.csv").read_text().splitlines()
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    kept = [row for row in rows if row[1] >= 3]
+    assert len(kept) == 14  # 2 chains x steps 3 to 9
+    total = np.zeros(len(held))
+    for _, _, _, h0, h1 in kept:
+        total += predict(tree(["PER", h0, h1]), train, held.xs, cfg.noise_var).mean
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["methods"]["mh"]["holdout_mse"] == mse(total / len(kept), held.ys)
 
 
 def test_cli_compare_predicts_each_kept_tree_once(tmp_path, monkeypatch):
@@ -643,7 +674,7 @@ def test_cli_compare_predicts_each_kept_tree_once(tmp_path, monkeypatch):
     ) == 0
     lines = (out / "hyper_traces_mh.csv").read_text().splitlines()
     rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
-    cut = int(load_config().schedule.burn_in * 300)
+    cut = math.ceil(load_config().schedule.burn_in * 300)
     kept = [row for row in rows if row[1] >= cut]
     kept = kept[:: len(kept) // 200]
     # A kept row repeats the tree of the row before it when every step
@@ -901,6 +932,37 @@ def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("x,y\n0,one\n")
     assert run_cli("fit", "--data", str(bad), "--out", str(out)) == 3
+
+
+def test_cli_compare_rejects_a_structure_with_no_gradient_site(tmp_path, capsys):
+    # a white-noise scale moves by MH only, so the gradient lane would stand still
+    data = tmp_path / "d.csv"
+    data.write_text("x,y\n0,1\n1,2\n2,1\n3,2\n4,1\n")
+    assert run_cli(
+        "compare-inference", "--data", str(data), "--out", str(tmp_path / "o"),
+        "--set", 'run.compare_structure=["WN", 1.0]',
+    ) == 2
+    assert capsys.readouterr().err == (
+        "config error: compare_structure has no hyperparameter that gradient "
+        "steps move (white-noise scales stay on MH moves)\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_cluster_rejects_several_chains(tmp_path, capsys):
+    # the clustering chain is one chain, so --chains 3 could only be ignored
+    data = tmp_path / "panel.csv"
+    data.write_text("series_id,x,y\na,0,1\na,1,2\nb,0,1\nb,1,0\n")
+    assert run_cli(
+        "cluster", "--data", str(data), "--out", str(tmp_path / "o"), "--chains", "3",
+    ) == 2
+    assert capsys.readouterr().err == (
+        "config error: cluster runs one chain; schedule.chains is 3\n"
+    )
+    with pytest.raises(ConfigError):
+        load_config(overrides=("run.task=cluster", "schedule.chains=2"))
+    fit = load_config(overrides=("run.task=fit", "schedule.chains=2"))
+    assert fit.schedule.chains == 2
 
 
 def test_cli_numeric_failures_exit_4(tmp_path, monkeypatch):

@@ -31,6 +31,7 @@ from covsearch.prior import (
     PriorConfig,
     ast_log_prior,
     sample_ast,
+    sample_hyper,
     sample_subtree,
     subtree_log_prior,
     unconstrained_log_prior,
@@ -495,8 +496,8 @@ def test_gradient_step_keeps_hypers_in_support():
 def test_run_schedule_shapes_and_determinism():
     data = toy_data(seed=25, n=8)
     cfg = ScheduleConfig(sweeps=6, hyper_steps=5, structure_steps=5, chains=2, seed=4)
-    first = run_schedule(data, None, cfg)
-    second = run_schedule(data, None, cfg)
+    first = run_schedule(data, cfg)
+    second = run_schedule(data, cfg)
     assert len(first) == 12
     assert {s.chain for s in first} == {0, 1}
     assert [s.label for s in first] == [s.label for s in second]
@@ -504,17 +505,11 @@ def test_run_schedule_shapes_and_determinism():
     assert [s.log_prior for s in first] == [s.log_prior for s in second]
 
 
-def test_run_schedule_sweeps_argument_overrides_config():
-    data = toy_data(seed=26, n=4)
-    cfg = ScheduleConfig(sweeps=9, hyper_steps=2, structure_steps=2, seed=5)
-    assert len(run_schedule(data, 3, cfg)) == 3
-
-
-def test_run_schedule_init_ast_pins_the_start():
+def test_run_schedule_skeleton_pins_the_shape():
     data = toy_data(seed=27, n=4)
     cfg = ScheduleConfig(sweeps=1, hyper_steps=0, structure_steps=0, seed=6)
     start = tree(["+", ["SE", 1.51], ["WN", 0.5]])
-    (only,) = run_schedule(data, None, cfg, init_ast=start)
+    (only,) = run_schedule(data, cfg, skeleton=start)
     assert only.label == "SE + WN"
 
 
@@ -523,7 +518,7 @@ def test_run_schedule_handles_changepoint_trees_in_mixed_mode():
     data = toy_data(seed=28, n=5)
     cfg = ScheduleConfig(sweeps=2, hyper_steps=3, structure_steps=0, seed=7)
     start = tree(["CP", 5.0, ["SE", 1.51], ["C", 1.0]])
-    samples = run_schedule(data, None, cfg, init_ast=start)
+    samples = run_schedule(data, cfg, skeleton=start)
     assert len(samples) == 2
     assert all(s.label == "CP(SE, C)" for s in samples)
 
@@ -538,35 +533,105 @@ def test_run_schedule_wraps_numeric_failures_with_provenance(monkeypatch):
     data = toy_data(seed=29, n=4)
     cfg = ScheduleConfig(sweeps=1, hyper_steps=0, structure_steps=1, seed=8)
     with pytest.raises(NumericError) as info:
-        inf.run_schedule(data, None, cfg)
+        inf.run_schedule(data, cfg)
     assert "chain 0 sweep 0" in str(info.value)
+
+
+def _hypers(sample):
+    """A sample's constrained hypers in `hyper_sites` order."""
+    nodes = sample.ast.nodes
+    sites = hyper_sites(sample.ast)
+    return tuple(nodes[node].hypers[slot].constrained for node, slot in sites)
 
 
 def test_run_hyper_inference_traces_and_finals():
     data = toy_data(seed=30, n=6)
     skel = leaf("PER", 1.0, 1.0)
-    cfg = ScheduleConfig(chains=3, seed=9)
-    traces, finals = run_hyper_inference(data, skel, 7, "mh", cfg)
+    cfg = ScheduleConfig(chains=3, seed=9, sweeps=7, hyper_steps=1)
+    traces, finals = run_hyper_inference(data, skel, "mh", cfg)
     assert len(traces) == 21
     assert len(finals) == 3
-    assert all(len(t.values) == 2 for t in traces)
-    again, _ = run_hyper_inference(data, skel, 7, "mh", cfg)
-    assert [t.values for t in traces] == [t.values for t in again]
+    assert all(len(_hypers(t)) == 2 for t in traces)
+    again, _ = run_hyper_inference(data, skel, "mh", cfg)
+    assert [_hypers(t) for t in traces] == [_hypers(t) for t in again]
 
 
 def test_run_hyper_inference_gradient_method_moves_all_sites():
     data = toy_data(seed=31, n=6)
     skel = leaf("SE", 1.5)
-    cfg = ScheduleConfig(chains=1, seed=10, step_size=0.05)
-    traces, finals = run_hyper_inference(data, skel, 40, "gradient", cfg)
-    values = [t.values[0] for t in traces]
+    cfg = ScheduleConfig(chains=1, seed=10, step_size=0.05, sweeps=4, hyper_steps=10)
+    traces, finals = run_hyper_inference(data, skel, "gradient", cfg)
+    values = [_hypers(t)[0] for t in traces]
     assert len(set(values)) > 1
     assert finals[0].ast.nodes[1].hypers[0].constrained == values[-1]
 
 
 def test_run_hyper_inference_rejects_unknown_method():
     with pytest.raises(ValueError):
-        run_hyper_inference(toy_data(), leaf("SE", 1.5), 5, "hmc", ScheduleConfig())
+        run_hyper_inference(toy_data(), leaf("SE", 1.5), "hmc", ScheduleConfig())
+
+
+@pytest.mark.parametrize(
+    "skeleton",
+    [["WN", 1.0], ["CP", 5.0, ["SE", 1.51], ["C", 1.0]]],
+    ids=["wn", "changepoint"],
+)
+def test_run_hyper_inference_gradient_needs_a_gradient_site(skeleton):
+    # the gradient lane must not fall back to MH moves without saying so
+    cfg = ScheduleConfig(sweeps=1, hyper_steps=2)
+    with pytest.raises(UnsupportedMoveError):
+        run_hyper_inference(toy_data(), tree(skeleton), "gradient", cfg)
+    traces, _ = run_hyper_inference(toy_data(), tree(skeleton), "mh", cfg)
+    assert len(traces) == 2
+
+
+def _per_step_hyper_chains(data, skeleton, steps, method, cfg, prior=None):
+    """Reference loop that `run_hyper_inference` must match bit for bit.
+
+    Each chain starts at the skeleton with every hyper drawn from the
+    prior, takes one `method` step at a time, and records (chain, step,
+    hypers, log joint) after each step.
+    """
+    prior = prior if prior is not None else PriorConfig()
+    rows = []
+    seed_seq = np.random.SeedSequence(cfg.seed)
+    for chain, child_seq in enumerate(seed_seq.spawn(cfg.chains)):
+        rng = np.random.default_rng(child_seq)
+        ast = skeleton
+        for node, slot in hyper_sites(skeleton):
+            offset = skeleton.nodes[node].hypers[slot].offset
+            ast = with_hyper(ast, node, slot, sample_hyper(rng, offset))
+        state = TraceState.init(ast, data, prior, rng)
+        sites = hyper_sites(ast)
+        for step in range(steps):
+            if method == "mh":
+                mh_hyper_step(state)
+            else:
+                gradient_step_hypers(state, cfg.step_size)
+            values = tuple(state.ast.nodes[n].hypers[s].constrained for n, s in sites)
+            rows.append((chain, step, values, state.log_joint))
+    return rows
+
+
+@pytest.mark.parametrize("method", ["mh", "gradient"])
+@pytest.mark.parametrize(
+    "skeleton",
+    [["PER", 1.0, 1.0], ["+", ["LIN", 1.0], ["*", ["PER", 1.0, 1.0], ["SE", 1.0]]]],
+    ids=["per", "lin_plus_per_times_se"],
+)
+def test_run_hyper_inference_matches_the_per_step_chain_loop(method, skeleton):
+    data = toy_data(seed=32, n=20)
+    skel = tree(skeleton)
+    cfg = ScheduleConfig(chains=2, seed=11, sweeps=3, hyper_steps=5, step_size=0.01)
+    want = _per_step_hyper_chains(data, skel, 15, method, cfg)
+    samples, finals = run_hyper_inference(data, skel, method, cfg)
+    got = [(t.chain, t.sweep, _hypers(t), t.log_joint) for t in samples]
+    assert got == want
+    assert [(t.chain, t.sweep, t.log_joint) for t in finals] == [
+        (chain, step, log_joint)
+        for chain, step, _, log_joint in want
+        if step == 14
+    ]
 
 
 # ---------------------------------------------------------------------------
