@@ -39,7 +39,7 @@ _EXPORTS = {
         "StructureError",
         "UnsupportedMoveError",
     ),
-    "gp": ("Dataset", "GpPosterior", "log_marginal", "predict", "sample_predictive"),
+    "gp": ("Dataset", "GpPosterior", "log_marginal", "predict"),
     "inference": (
         "PosteriorSample",
         "ScheduleConfig",

@@ -29,6 +29,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, NumericError, StructureError
 from .inference import (
+    averaged_prediction,
     averaged_predictions,
     drop_burn_in,
     gradient_sites,
@@ -114,10 +115,13 @@ def _post_burn(samples, cfg: RunConfig):
     return kept if kept else samples
 
 
-def _destandardized(transform, mean, std):
-    if transform is None:
-        return mean, std
-    return transform.y_back(mean), transform.y_spread_back(std)
+def _y_back(transform, ys):
+    return ys if transform is None else transform.y_back(ys)
+
+
+def _std_back(transform, post):
+    std = np.sqrt(post.variance)
+    return std if transform is None else transform.y_spread_back(std)
 
 
 def _run_fit_predict(args, cfg: RunConfig) -> None:
@@ -131,8 +135,6 @@ def _run_fit_predict(args, cfg: RunConfig) -> None:
     samples = run_schedule(
         train, cfg.schedule, prior=cfg.prior, noise_var=cfg.noise_var
     )
-    if not samples:
-        raise ConfigError("schedule recorded no samples; increase sweeps")
     kept = _post_burn(samples, cfg)
     counts = structure_histogram(kept)
     map_label = map_structure(kept)
@@ -154,21 +156,16 @@ def _run_fit_predict(args, cfg: RunConfig) -> None:
     avg, map_avg = everything[0], on_map[0]
     blr = blr_baseline(train, grid)
 
-    grid_out = grid if transform is None else transform.x_back(grid)
-    mean_out, std_out = _destandardized(transform, avg.mean, np.sqrt(avg.variance))
-    map_out, _ = _destandardized(transform, map_avg.mean, np.sqrt(map_avg.variance))
-    blr_mean, blr_std = _destandardized(transform, blr.mean, np.sqrt(blr.variance))
     predictions = {
-        "x": grid_out,
-        "mean": mean_out,
-        "std": std_out,
-        "map_mean": map_out,
-        "blr_mean": blr_mean,
-        "blr_std": blr_std,
+        "x": grid if transform is None else transform.x_back(grid),
+        "mean": _y_back(transform, avg.mean),
+        "std": _std_back(transform, avg),
+        "map_mean": _y_back(transform, map_avg.mean),
+        "blr_mean": _y_back(transform, blr.mean),
+        "blr_std": _std_back(transform, blr),
     }
     for i, curve in enumerate(row[0] for row in curves):
-        mean_i, _ = _destandardized(transform, curve.mean, np.sqrt(curve.variance))
-        predictions[f"sample_{i}"] = mean_i
+        predictions[f"sample_{i}"] = _y_back(transform, curve.mean)
 
     metrics: dict = {
         "task": cfg.task,
@@ -181,16 +178,11 @@ def _run_fit_predict(args, cfg: RunConfig) -> None:
     if len(held) > 0:
         avg_h, map_h = everything[1], on_map[1]
         blr_h = blr_baseline(train, held.xs)
-        truth = held.ys if transform is None else transform.y_back(held.ys)
-        avg_mean, _ = _destandardized(transform, avg_h.mean, np.sqrt(avg_h.variance))
-        map_mean, _ = _destandardized(transform, map_h.mean, np.sqrt(map_h.variance))
-        blr_mean_h, _ = _destandardized(
-            transform, blr_h.mean, np.sqrt(blr_h.variance)
-        )
+        truth = _y_back(transform, held.ys)
         metrics["holdout"] = {
-            "gp_average_rmse": rmse(avg_mean, truth),
-            "gp_map_rmse": rmse(map_mean, truth),
-            "blr_rmse": rmse(blr_mean_h, truth),
+            "gp_average_rmse": rmse(_y_back(transform, avg_h.mean), truth),
+            "gp_map_rmse": rmse(_y_back(transform, map_h.mean), truth),
+            "blr_rmse": rmse(_y_back(transform, blr_h.mean), truth),
         }
     emit_results(
         args.out, histogram=counts, predictions=predictions, metrics=metrics
@@ -208,8 +200,6 @@ def _run_cluster(args, cfg: RunConfig) -> None:
         prior=cfg.prior,
         noise_var=cfg.noise_var,
     )
-    if not samples:
-        raise ConfigError("schedule recorded no samples; increase sweeps")
     records = []
     for sample in samples:
         records.append(
@@ -265,8 +255,6 @@ def _run_compare(args, cfg: RunConfig) -> None:
     )
     skeleton = _compare_skeleton(cfg)
     steps = cfg.schedule.sweeps * cfg.schedule.hyper_steps
-    if steps <= 0:
-        raise ConfigError("schedule gives no hyper steps; increase sweeps")
     sites = hyper_sites(skeleton)
     traces_out: dict[str, dict[str, np.ndarray]] = {}
     metrics: dict = {
@@ -303,14 +291,10 @@ def _run_compare(args, cfg: RunConfig) -> None:
                 posts = posts[:: max(1, len(posts) // 200)]
             else:
                 posts = [max(finals, key=lambda s: s.log_joint)]
-            [[post]] = averaged_predictions(
-                posts, train, [(held.xs, False)], [range(len(posts))], cfg.noise_var
+            post = averaged_prediction(posts, train, held.xs, cfg.noise_var)
+            summary["holdout_mse"] = mse(
+                _y_back(transform, post.mean), _y_back(transform, held.ys)
             )
-            mean, truth = post.mean, held.ys
-            if transform is not None:
-                mean = transform.y_back(mean)
-                truth = transform.y_back(held.ys)
-            summary["holdout_mse"] = mse(mean, truth)
         metrics["methods"][method] = summary
     emit_results(args.out, metrics=metrics, traces=traces_out)
 

@@ -187,7 +187,7 @@ def _cluster_tree_moves(state: ClusterState, cid: int, cfg: ScheduleConfig) -> N
     for _ in range(cfg.hyper_steps):
         mh_hyper_step(trace)
     for _ in range(cfg.structure_steps):
-        mh_structure_step(trace, cfg.size_correction)
+        mh_structure_step(trace)
     state.cluster_asts[cid] = trace.ast
     state.member_lls.update(zip(members, trace.log_likelihoods))
 

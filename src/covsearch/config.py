@@ -63,6 +63,12 @@ class RunConfig:
             raise ConfigError(
                 f"concentration {self.concentration} must be positive"
             )
+        if self.task != "synth-data" and self.schedule.sweeps == 0:
+            raise ConfigError(f"{self.task} needs a sweep; schedule.sweeps is 0")
+        if self.task == "compare-inference" and self.schedule.hyper_steps == 0:
+            raise ConfigError(
+                "compare-inference needs a hyper step; schedule.hyper_steps is 0"
+            )
         if self.task == "cluster" and self.schedule.chains > 1:
             raise ConfigError(
                 f"cluster runs one chain; schedule.chains is {self.schedule.chains}"
@@ -106,7 +112,6 @@ _PARSERS = {
     "int": int,
     "float": float,
     "str": str,
-    "bool": _parse_bool,
     "bool | None": _parse_bool,
     "tuple[float, ...]": _parse_weights,
     "tuple[float, float, float]": _parse_weights,

@@ -89,7 +89,6 @@ class Dataset:
 class GpPosterior:
     """Predictive Gaussian at a set of probe points."""
 
-    at: np.ndarray
     mean: np.ndarray
     cov: np.ndarray
 
@@ -301,24 +300,4 @@ def predict(
     cov = 0.5 * (cov + cov.T)
     if noisy:
         cov = cov + noise_var * np.eye(probe.size)
-    return GpPosterior(at=probe, mean=mean, cov=cov)
-
-
-def sample_predictive(
-    posterior: GpPosterior, rng: np.random.Generator, count: int
-) -> np.ndarray:
-    """Draw joint samples from a predictive Gaussian, shape (count, k).
-
-    A predictive with an exactly zero covariance yields copies of the
-    mean rather than a factorization attempt.
-    """
-    if count < 0:
-        raise ValueError(f"count {count} must be non-negative")
-    k = posterior.mean.size
-    if count == 0:
-        return np.empty((0, k))
-    if not np.any(posterior.cov):
-        return np.tile(posterior.mean, (count, 1))
-    factor, _ = chol_with_jitter(posterior.cov)
-    draws = rng.standard_normal((k, count))
-    return (posterior.mean[:, None] + factor @ draws).T
+    return GpPosterior(mean=mean, cov=cov)

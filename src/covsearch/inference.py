@@ -59,7 +59,22 @@ HYPER_MODES = ("mh", "gradient", "mixed")
 
 @dataclass(frozen=True)
 class ScheduleConfig:
-    """Knobs for one inference run."""
+    """Knobs for one inference run.
+
+    Each sweep takes `hyper_steps` hyperparameter steps, then
+    `structure_steps` structure moves. `hyper_mode` sets what one
+    hyperparameter step is:
+
+    - "mh": one prior-resimulation move on a site drawn at random;
+    - "gradient": one gradient step on every leaf hyper but white-noise
+      scales;
+    - "mixed": that gradient step, then one MH move on each white-noise
+      scale.
+
+    Under "gradient" and "mixed", a tree with no gradient site (one
+    holding a changepoint, or only white-noise leaves) takes one MH move
+    on a site drawn at random instead.
+    """
 
     sweeps: int = 30
     hyper_steps: int = 100
@@ -69,7 +84,6 @@ class ScheduleConfig:
     seed: int = 0
     burn_in: float = 0.2
     hyper_mode: str = "mixed"
-    size_correction: bool = True
 
     def __post_init__(self):
         if self.sweeps < 0 or self.hyper_steps < 0 or self.structure_steps < 0:
@@ -202,7 +216,7 @@ def _metropolis(
     return state
 
 
-def mh_structure_step(state: TraceState, size_correction: bool = True) -> TraceState:
+def mh_structure_step(state: TraceState) -> TraceState:
     """One resimulation MH move on the tree structure.
 
     Rejections leave everything but the move counters untouched.
@@ -211,9 +225,7 @@ def mh_structure_step(state: TraceState, size_correction: bool = True) -> TraceS
     target = nodes[int(state.rng.integers(len(nodes)))]
     regrown = sample_subtree(state.prior, target, state.rng)
     proposal = replace_subtree(state.ast, target, regrown)
-    correction = 0.0
-    if size_correction:
-        correction = math.log(len(state.ast)) - math.log(len(proposal))
+    correction = math.log(len(state.ast)) - math.log(len(proposal))
     return _metropolis(state, "structure", proposal, correction)
 
 
@@ -314,11 +326,10 @@ def hyper_gradients(state: TraceState) -> dict[tuple[int, int], float]:
             if bundle.operator is Operator.SUM:
                 adjoints[left] = parent
                 adjoints[right] = parent
-            elif bundle.operator is Operator.PRODUCT:
+            else:
+                # A product: `gradient_supported` has ruled out changepoints.
                 adjoints[left] = parent * mats[right]
                 adjoints[right] = parent * mats[left]
-            else:
-                raise UnsupportedMoveError("changepoint in gradient sweep")
         contracted: dict[int, list[float]] = {}
         for node, slot in sites:
             if node not in contracted:
@@ -440,7 +451,7 @@ def run_schedule(
             try:
                 _hyper_phase(state, cfg)
                 for _ in range(cfg.structure_steps):
-                    mh_structure_step(state, cfg.size_correction)
+                    mh_structure_step(state)
             except NumericError as err:
                 raise NumericError(
                     f"chain {chain} sweep {sweep}: {err}", jitters=err.jitters
@@ -532,19 +543,17 @@ def averaged_prediction(
     probe_xs,
     noise_var: float = DEFAULT_NOISE_VAR,
     noisy: bool = False,
-    label: str | None = None,
 ) -> GpPosterior:
-    """Mixture predictive over recorded samples, optionally one label only.
+    """Mixture predictive over every recorded sample.
 
     The mixture mean is the average of per-sample means and the mixture
-    covariance adds the spread between those means. The command line
-    calls `averaged_predictions`; this one-group form stays public as
-    the library's entry point for a single prediction: README's Library
-    example uses it, and `perfbench/tracer.py` traces it.
+    covariance adds the spread between those means. `compare-inference`
+    predicts its holdout through it and README's Library example uses
+    it; `fit` predicts several groups at once through
+    `averaged_predictions`.
     """
-    chosen = [i for i, s in enumerate(samples) if label is None or s.label == label]
     [[post]] = averaged_predictions(
-        samples, train, [(probe_xs, noisy)], [chosen], noise_var
+        samples, train, [(probe_xs, noisy)], [range(len(samples))], noise_var
     )
     return post
 
@@ -600,5 +609,5 @@ def averaged_predictions(
             mean = mean_acc / len(group)
             cov = cov_acc / len(group) - np.outer(mean, mean)
             cov = 0.5 * (cov + cov.T)
-            mixtures[-1].append(GpPosterior(at=probe, mean=mean, cov=cov))
+            mixtures[-1].append(GpPosterior(mean=mean, cov=cov))
     return mixtures

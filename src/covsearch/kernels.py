@@ -198,10 +198,6 @@ class KernelAst:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
-
 
 def subtree_indices(nodes: Mapping[int, NodeBundle], root: int) -> Iterator[int]:
     """Heap indices of the subtree rooted at `root`, depth first."""
@@ -397,34 +393,30 @@ def _check_gaps(gaps, xs: np.ndarray, ys: np.ndarray) -> None:
         )
 
 
-def build_cov_matrix(ast: KernelAst, xs, node: int = 1, gaps=None) -> np.ndarray:
-    """Dense covariance matrix of the (sub)tree over a vector of inputs.
+def build_cov_matrix(ast: KernelAst, xs, gaps=None) -> np.ndarray:
+    """Dense covariance matrix of the tree over a vector of inputs.
 
     `gaps` is `gap_table(xs, xs)` when the caller keeps it; the matrix
     is the same, built faster.
     """
-    if node not in ast.nodes:
-        raise StructureError(f"no node {node} in tree")
     arr = _as_inputs(xs)
     _check_gaps(gaps, arr, arr)
-    return _cross(ast.nodes, node, arr, arr, gaps)
+    return _cross(ast.nodes, 1, arr, arr, gaps)
 
 
-def cross_cov_matrix(ast: KernelAst, xs, ys, node: int = 1, gaps=None) -> np.ndarray:
+def cross_cov_matrix(ast: KernelAst, xs, ys, gaps=None) -> np.ndarray:
     """Covariance between two input vectors, shape (len(xs), len(ys)).
 
     `gaps` is `gap_table(xs, ys)`, or None, as in `build_cov_matrix`.
     """
-    if node not in ast.nodes:
-        raise StructureError(f"no node {node} in tree")
     xs, ys = _as_inputs(xs), _as_inputs(ys)
     _check_gaps(gaps, xs, ys)
-    return _cross(ast.nodes, node, xs, ys, gaps)
+    return _cross(ast.nodes, 1, xs, ys, gaps)
 
 
-def eval_kernel(ast: KernelAst, x: float, y: float, node: int = 1) -> float:
-    """Evaluate the (sub)tree's covariance function at a pair of inputs."""
-    return float(cross_cov_matrix(ast, [x], [y], node)[0, 0])
+def eval_kernel(ast: KernelAst, x: float, y: float) -> float:
+    """Evaluate the tree's covariance function at a pair of inputs."""
+    return float(cross_cov_matrix(ast, [x], [y])[0, 0])
 
 
 def cov_matrices(ast: KernelAst, xs, gaps=None) -> dict[int, np.ndarray]:
@@ -500,15 +492,13 @@ def _render(nodes: Mapping[int, NodeBundle], node: int) -> tuple[str, Operator |
     return f" {op.value} ".join(sorted(parts)), op
 
 
-def structure_label(ast: KernelAst, node: int = 1) -> str:
+def structure_label(ast: KernelAst) -> str:
     """Canonical text form of the tree shape, ignoring hyperparameters.
 
     Operands of + and * are flattened and sorted, so trees that differ
     only by operand order or association share a label.
     """
-    if node not in ast.nodes:
-        raise StructureError(f"no node {node} in tree")
-    text, _ = _render(ast.nodes, node)
+    text, _ = _render(ast.nodes, 1)
     return text
 
 

@@ -147,10 +147,7 @@ def _hyper_log_prior(site: HyperSite) -> float:
 
 
 def subtree_log_prior(
-    cfg: PriorConfig,
-    nodes: Mapping[int, NodeBundle],
-    node: int = 1,
-    include_hypers: bool = True,
+    cfg: PriorConfig, nodes: Mapping[int, NodeBundle], node: int = 1
 ) -> float:
     """Log prior density of the subtree rooted at `node`.
 
@@ -167,23 +164,20 @@ def subtree_log_prior(
             return -math.inf
         total += _log(cfg.p_branch)
         total += _log(cfg.operator_weights[OPERATOR_ORDER.index(bundle.operator)])
-        total += subtree_log_prior(cfg, nodes, 2 * node, include_hypers)
-        total += subtree_log_prior(cfg, nodes, 2 * node + 1, include_hypers)
+        total += subtree_log_prior(cfg, nodes, 2 * node)
+        total += subtree_log_prior(cfg, nodes, 2 * node + 1)
     else:
         if not at_cap:
             total += _log(1.0 - cfg.p_branch)
         total += _log(cfg.kernel_weights[KERNEL_ORDER.index(bundle.kernel)])
-    if include_hypers:
-        for site in bundle.hypers:
-            total += _hyper_log_prior(site)
+    for site in bundle.hypers:
+        total += _hyper_log_prior(site)
     return total
 
 
-def ast_log_prior(
-    cfg: PriorConfig, ast: KernelAst, include_hypers: bool = True
-) -> float:
+def ast_log_prior(cfg: PriorConfig, ast: KernelAst) -> float:
     """Log prior density of a complete tree."""
-    return subtree_log_prior(cfg, ast.nodes, 1, include_hypers)
+    return subtree_log_prior(cfg, ast.nodes)
 
 
 def unconstrained_log_prior(ast: KernelAst) -> float:

@@ -277,7 +277,7 @@ def test_config_file_and_overrides(tmp_path):
     ini.write_text(
         "[run]\nnoise_var = 0.25\nholdout_mode = interpolate-middle\n"
         "[prior]\np_branch = 0.4\nkernel_weights = 0.5,0.5,0,0,0\n"
-        "[schedule]\nsweeps = 11\nhyper_mode = mh\nsize_correction = off\n"
+        "[schedule]\nsweeps = 11\nhyper_mode = mh\n"
         "[cluster]\nconcentration = 1.5\n"
     )
     cfg = load_config(ini, overrides=("schedule.sweeps=13", "run.probe_count=50"))
@@ -287,7 +287,6 @@ def test_config_file_and_overrides(tmp_path):
     assert cfg.prior.kernel_weights == (0.5, 0.5, 0.0, 0.0, 0.0)
     assert cfg.schedule.sweeps == 13  # override wins over the file
     assert cfg.schedule.hyper_mode == "mh"
-    assert cfg.schedule.size_correction is False
     assert cfg.probe_count == 50
     assert cfg.concentration == 1.5
 
@@ -316,11 +315,14 @@ def test_config_rejects_unknown_file_sections(tmp_path):
     ini.write_text("[extras]\nkey = 1\n")
     with pytest.raises(ConfigError):
         load_config(ini)
+    ini.write_text("[schedule]\nsize_correction = true\n")
+    with pytest.raises(ConfigError, match="unknown key 'size_correction'"):
+        load_config(ini)
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.ini")
 
 
-# The 22 settable config keys, each with a raw value other than its
+# The 21 settable config keys, each with a raw value other than its
 # default and the value it parses to.
 CONFIG_VALUES = {
     ("run", "task"): ("cluster", "cluster"),
@@ -343,7 +345,6 @@ CONFIG_VALUES = {
     ("schedule", "seed"): ("11", 11),
     ("schedule", "burn_in"): ("0.5", 0.5),
     ("schedule", "hyper_mode"): ("mh", "mh"),
-    ("schedule", "size_correction"): ("no", False),
     ("cluster", "concentration"): ("1.5", 1.5),
 }
 
@@ -361,7 +362,7 @@ def test_config_schema_is_the_config_dataclasses_fields():
     ]
     for section, cls in nested.items():
         declared += [(section, f.name) for f in fields(cls)]
-    assert len(CONFIG_VALUES) == 22
+    assert len(CONFIG_VALUES) == 21
     assert sorted(declared) == sorted(CONFIG_VALUES)
     names = {key for _, key in CONFIG_VALUES} | set(nested)
     for section in ("run", "prior", "schedule", "cluster"):
@@ -963,6 +964,45 @@ def test_cli_cluster_rejects_several_chains(tmp_path, capsys):
         load_config(overrides=("run.task=cluster", "schedule.chains=2"))
     fit = load_config(overrides=("run.task=fit", "schedule.chains=2"))
     assert fit.schedule.chains == 2
+
+
+@pytest.mark.parametrize(
+    "task, setting, message",
+    [
+        (task, "schedule.sweeps=0", f"{task} needs a sweep; schedule.sweeps is 0")
+        for task in ("fit", "predict", "cluster", "compare-inference")
+    ]
+    + [
+        (
+            "compare-inference",
+            "schedule.hyper_steps=0",
+            "compare-inference needs a hyper step; schedule.hyper_steps is 0",
+        ),
+        (
+            "fit",
+            "schedule.size_correction=true",
+            "unknown key 'size_correction' in section [schedule]",
+        ),
+    ],
+    ids=["fit", "predict", "cluster", "compare", "compare_no_hyper_steps",
+         "size_correction_key"],
+)
+def test_cli_rejects_a_config_before_reading_data(tmp_path, capsys, task, setting, message):
+    # the data file does not exist, so a data error would exit 3
+    assert run_cli(
+        task, "--data", str(tmp_path / "ghost.csv"), "--out", str(tmp_path / "o"),
+        "--set", setting,
+    ) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_synth_data_runs_with_no_sweeps(tmp_path):
+    out = tmp_path / "o"
+    assert run_cli(
+        "synth-data", "--kind", "periodic", "--n", "10", "--out", str(out),
+        "--set", "schedule.sweeps=0",
+    ) == 0
+    assert (out / "periodic.csv").exists()
 
 
 def test_cli_numeric_failures_exit_4(tmp_path, monkeypatch):

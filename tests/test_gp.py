@@ -18,7 +18,6 @@ from covsearch.gp import (
     chol_with_jitter,
     log_marginal,
     predict,
-    sample_predictive,
     solve_lower,
 )
 from covsearch.kernels import build_cov_matrix
@@ -371,34 +370,5 @@ def test_predict_rejects_empty_probe():
 
 
 def test_posterior_variance_is_diagonal_of_cov():
-    post = GpPosterior(
-        at=np.arange(2.0), mean=np.zeros(2), cov=np.array([[2.0, 0.5], [0.5, 3.0]])
-    )
+    post = GpPosterior(mean=np.zeros(2), cov=np.array([[2.0, 0.5], [0.5, 3.0]]))
     assert np.array_equal(post.variance, np.array([2.0, 3.0]))
-
-
-# ---------------------------------------------------------------------------
-# Predictive sampling
-
-
-def test_sample_predictive_shapes_and_zero_cov():
-    post = GpPosterior(at=np.arange(3.0), mean=np.array([1.0, 2.0, 3.0]), cov=np.zeros((3, 3)))
-    gen = np.random.default_rng(29)
-    assert sample_predictive(post, gen, 0).shape == (0, 3)
-    draws = sample_predictive(post, gen, 4)
-    assert np.array_equal(draws, np.tile(post.mean, (4, 1)))
-
-
-def test_sample_predictive_rejects_negative_count():
-    post = GpPosterior(at=np.zeros(1), mean=np.zeros(1), cov=np.eye(1))
-    with pytest.raises(ValueError):
-        sample_predictive(post, np.random.default_rng(0), -1)
-
-
-def test_sample_predictive_moments():
-    cov = np.array([[1.0, 0.6], [0.6, 2.0]])
-    post = GpPosterior(at=np.arange(2.0), mean=np.array([0.5, -1.0]), cov=cov)
-    gen = np.random.default_rng(30)
-    draws = sample_predictive(post, gen, 60_000)
-    assert np.allclose(draws.mean(axis=0), post.mean, atol=0.03)
-    assert np.allclose(np.cov(draws.T), cov, atol=0.05)

@@ -140,18 +140,15 @@ def test_size_correction_prefers_small_trees():
         operator_weights=(1.0, 0.0, 0.0),
         max_depth=2,
     )
-    hits = {True: 0, False: 0}
+    gen = np.random.default_rng(10)
+    start = leaf("WN", 0.5)
     trials = 4000
-    for correction in (True, False):
-        gen = np.random.default_rng(10)
-        start = leaf("WN", 0.5)
-        for i in range(trials):
-            state = TraceState.init(start, EMPTY, grammar, gen)
-            mh_structure_step(state, size_correction=correction)
-            if state.ast.nodes[1].is_branch:
-                hits[correction] += 1
-    assert hits[True] / trials == pytest.approx(0.5 / 3.0, abs=0.02)
-    assert hits[False] / trials == pytest.approx(0.5, abs=0.025)
+    hits = 0
+    for _ in range(trials):
+        state = TraceState.init(start, EMPTY, grammar, gen)
+        mh_structure_step(state)
+        hits += state.ast.nodes[1].is_branch
+    assert hits / trials == pytest.approx(0.5 / 3.0, abs=0.02)
 
 
 def test_resimulation_acceptance_is_a_bare_likelihood_ratio():
@@ -514,19 +511,24 @@ def test_run_schedule_skeleton_pins_the_shape():
 
 
 def test_run_schedule_handles_changepoint_trees_in_mixed_mode():
-    # gradient-ineligible trees must fall back to MH inside the sweep
+    # gradient-ineligible trees must fall back to MH inside the sweep,
+    # under both modes that take gradient steps
     data = toy_data(seed=28, n=5)
-    cfg = ScheduleConfig(sweeps=2, hyper_steps=3, structure_steps=0, seed=7)
     start = tree(["CP", 5.0, ["SE", 1.51], ["C", 1.0]])
-    samples = run_schedule(data, cfg, skeleton=start)
-    assert len(samples) == 2
-    assert all(s.label == "CP(SE, C)" for s in samples)
+    for mode in ("gradient", "mixed"):
+        cfg = ScheduleConfig(
+            sweeps=2, hyper_steps=20, structure_steps=0, seed=7, hyper_mode=mode
+        )
+        samples = run_schedule(data, cfg, skeleton=start)
+        assert len(samples) == 2
+        assert all(s.label == "CP(SE, C)" for s in samples)
+        assert _hypers(samples[0]) != _hypers(samples[1])
 
 
 def test_run_schedule_wraps_numeric_failures_with_provenance(monkeypatch):
     import covsearch.inference as inf
 
-    def explode(state, correction=True):
+    def explode(state):
         raise NumericError("boom", jitters=(0.0,))
 
     monkeypatch.setattr(inf, "mh_structure_step", explode)
@@ -728,22 +730,3 @@ def test_averaged_predictions_factor_each_sample_once(monkeypatch):
             assert np.array_equal(mixture.cov, reference.cov)
     with pytest.raises(ValueError):
         averaged_predictions(samples, train, probes, [[0], []])
-
-
-def test_averaged_prediction_label_filter():
-    from covsearch.gp import predict
-
-    train = toy_data(seed=33, n=5)
-    probe = np.linspace(0, 10, 3)
-    a = leaf("SE", 1.51)
-    b = leaf("C", 2.0)
-    samples = [
-        _sample(0, 0, "SE", a),
-        _sample(0, 1, "C", b),
-        _sample(0, 2, "SE", a),
-    ]
-    got = averaged_prediction(samples, train, probe, label="C")
-    only = predict(b, train, probe)
-    assert np.allclose(got.mean, only.mean, atol=1e-12)
-    with pytest.raises(ValueError):
-        averaged_prediction(samples, train, probe, label="PER")

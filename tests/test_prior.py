@@ -212,14 +212,6 @@ def test_zero_weight_structure_scores_minus_inf():
     assert ast_log_prior(cfg, leaf("C", 1.0)) == -math.inf
 
 
-def test_include_hypers_flag_isolates_hyper_terms():
-    cfg = PriorConfig()
-    ast = tree(["*", ["SE", 1.51], ["PER", 0.91, 2.5]])
-    full = ast_log_prior(cfg, ast)
-    shape = ast_log_prior(cfg, ast, include_hypers=False)
-    assert full - shape == pytest.approx(hyper_term(ast), rel=1e-12)
-
-
 def test_subtree_log_prior_decomposes():
     cfg = PriorConfig()
     ast = tree(["+", ["SE", 1.51], ["*", ["C", 1.0], ["WN", 0.3]]])
@@ -295,7 +287,7 @@ def test_enumeration_matches_log_prior():
     )
     for shape, prob in _enumerate_structures(cfg):
         ast = tree(_shape_tree(shape))
-        got = ast_log_prior(cfg, ast, include_hypers=False)
+        got = ast_log_prior(cfg, ast) - hyper_term(ast)
         assert got == pytest.approx(math.log(prob), rel=1e-12)
 
 
