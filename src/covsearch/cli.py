@@ -110,11 +110,6 @@ def _ingest(args, cfg: RunConfig) -> IngestResult:
     return ingest_csv(args.data, standardize=cfg.resolved_standardize())
 
 
-def _post_burn(samples, cfg: RunConfig):
-    kept = drop_burn_in(samples, cfg.schedule.burn_in)
-    return kept if kept else samples
-
-
 def _y_back(transform, ys):
     return ys if transform is None else transform.y_back(ys)
 
@@ -135,7 +130,7 @@ def _run_fit_predict(args, cfg: RunConfig) -> None:
     samples = run_schedule(
         train, cfg.schedule, prior=cfg.prior, noise_var=cfg.noise_var
     )
-    kept = _post_burn(samples, cfg)
+    kept = drop_burn_in(samples, cfg.schedule.burn_in)
     counts = structure_histogram(kept)
     map_label = map_structure(kept)
 
@@ -287,7 +282,7 @@ def _run_compare(args, cfg: RunConfig) -> None:
         summary: dict = {"final_log_joints": [s.log_joint for s in finals]}
         if len(held) > 0:
             if method == "mh":
-                posts = _post_burn(samples, cfg)
+                posts = drop_burn_in(samples, cfg.schedule.burn_in)
                 posts = posts[:: max(1, len(posts) // 200)]
             else:
                 posts = [max(finals, key=lambda s: s.log_joint)]

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import NumericError
 from .gp import DEFAULT_NOISE_VAR, Dataset, log_marginal
-from .inference import ScheduleConfig, TraceState, mh_hyper_step, mh_structure_step
+from .inference import ScheduleConfig, TraceState, drop_burn_in, run_chains, sweep_moves
 from .kernels import KernelAst, structure_label
 from .prior import PriorConfig, sample_ast
 
@@ -72,7 +72,7 @@ class ClusterState:
     rng: np.random.Generator
     member_lls: dict[int, float] = field(default_factory=dict)
     next_cid: int = 0
-    stats: dict[str, int] = field(default_factory=dict)
+    stats: Counter = field(default_factory=Counter)
 
     @classmethod
     def init(
@@ -108,9 +108,6 @@ class ClusterState:
             state.next_cid += 1
         return state
 
-    def bump(self, key: str) -> None:
-        self.stats[key] = self.stats.get(key, 0) + 1
-
     def members(self, cid: int) -> list[int]:
         return sorted(i for i, c in self.assignments.items() if c == cid)
 
@@ -119,7 +116,7 @@ def _safe_ll(state: ClusterState, ast: KernelAst, index: int) -> float:
     try:
         return log_marginal(ast, state.series[index], state.noise_var)
     except NumericError:
-        state.bump("reassign_numeric_zero")
+        state.stats["reassign_numeric_zero"] += 1
         return -math.inf
 
 
@@ -155,7 +152,7 @@ def reassign_series_step(state: ClusterState, index: int) -> ClusterState:
     candidates.append((None, math.log(state.concentration) + fresh_ll, fresh_ll))
     weights = np.array([w for _, w, _ in candidates])
     if np.all(np.isinf(weights)):
-        state.bump("reassign_stuck")
+        state.stats["reassign_stuck"] += 1
         return state
     probs = np.exp(weights - weights.max())
     probs /= probs.sum()
@@ -169,12 +166,12 @@ def reassign_series_step(state: ClusterState, index: int) -> ClusterState:
         state.cluster_asts[target] = fresh_ast
     state.assignments[index] = target
     state.member_lls[index] = target_ll
-    state.bump("reassign_moves")
+    state.stats["reassign_moves"] += 1
     return state
 
 
 def _cluster_tree_moves(state: ClusterState, cid: int, cfg: ScheduleConfig) -> None:
-    """Run the per-cluster structure and hyper moves on pooled members."""
+    """Take one `sweep_moves` sweep on a cluster's tree, its members pooled."""
     members = state.members(cid)
     trace = TraceState.init(
         state.cluster_asts[cid],
@@ -184,10 +181,7 @@ def _cluster_tree_moves(state: ClusterState, cid: int, cfg: ScheduleConfig) -> N
         state.noise_var,
         log_likelihoods=[state.member_lls[i] for i in members],
     )
-    for _ in range(cfg.hyper_steps):
-        mh_hyper_step(trace)
-    for _ in range(cfg.structure_steps):
-        mh_structure_step(trace)
+    sweep_moves(trace, cfg)
     state.cluster_asts[cid] = trace.ast
     state.member_lls.update(zip(members, trace.log_likelihoods))
 
@@ -196,17 +190,19 @@ def _cluster_tree_moves(state: ClusterState, cid: int, cfg: ScheduleConfig) -> N
 class ClusterSample:
     """One recorded sweep: the partition and each cluster's label."""
 
+    chain: int
     sweep: int
     partition: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
 
 
 def cluster_sweep(state: ClusterState, cfg: ScheduleConfig) -> ClusterState:
-    """One full sweep: reassign every series, then move every tree."""
+    """One full sweep: reassign every series, then move every tree by MH."""
     for index in range(len(state.series)):
         reassign_series_step(state, index)
+    mh = replace(cfg, hyper_mode="mh")
     for cid in sorted(state.cluster_asts):
-        _cluster_tree_moves(state, cid, cfg)
+        _cluster_tree_moves(state, cid, mh)
     return state
 
 
@@ -217,40 +213,37 @@ def run_cluster_schedule(
     prior: PriorConfig | None = None,
     noise_var: float = DEFAULT_NOISE_VAR,
 ) -> list[ClusterSample]:
-    """Run one clustering chain for `cfg.sweeps` sweeps; record each partition.
+    """Run `cfg.chains` chains of `cluster_sweep` through `run_chains`.
 
-    The chain's generator comes from `cfg.seed`. Hyper moves are MH
-    resimulations only, so `cfg.chains`, `cfg.hyper_mode` and
-    `cfg.step_size` do not act here. A single series degenerates to
-    ordinary structure search: every sweep keeps the one-cluster
-    partition and only the tree moves.
+    Each chain starts with every series alone; each sweep records its
+    partition. Tree moves are MH only, so `cfg.hyper_mode` and
+    `cfg.step_size` do not act. One series degenerates to structure search.
     """
     prior = prior if prior is not None else PriorConfig()
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    state = ClusterState.init(series, rng, concentration, prior, noise_var)
-    samples: list[ClusterSample] = []
-    for sweep in range(cfg.sweeps):
-        cluster_sweep(state, cfg)
+
+    def start(rng: np.random.Generator) -> ClusterState:
+        return ClusterState.init(series, rng, concentration, prior, noise_var)
+
+    def record(chain: int, sweep: int, state: ClusterState) -> ClusterSample:
         partition = canonical_partition(state.assignments)
-        labels = []
-        for members in partition:
-            cid = state.assignments[members[0]]
-            labels.append(structure_label(state.cluster_asts[cid]))
-        samples.append(
-            ClusterSample(sweep=sweep, partition=partition, labels=tuple(labels))
+        labels = tuple(
+            structure_label(state.cluster_asts[state.assignments[members[0]]])
+            for members in partition
         )
-    return samples
+        return ClusterSample(chain, sweep, partition, labels)
+
+    # Looked up per call: a wrapper set on `clustering.cluster_sweep` sees each sweep.
+    return run_chains(cfg, start, lambda state: cluster_sweep(state, cfg), record)
 
 
 def modal_partition(
     samples: Sequence[ClusterSample], burn_in: float
 ) -> tuple[tuple[tuple[int, ...], ...], float]:
-    """Most frequent partition after burn-in, and its share of the kept sweeps.
+    """Most frequent partition after `drop_burn_in`, and its share of the kept sweeps.
 
-    The first ceil(burn_in * len(samples)) sweeps are dropped, unless
-    that drops them all; ties go to the partition that sorts first.
+    Ties go to the partition that sorts first.
     """
-    post = samples[math.ceil(burn_in * len(samples)) :] or samples
+    post = drop_burn_in(samples, burn_in)
     tallies = Counter(sample.partition for sample in post)
     modal = max(sorted(tallies), key=lambda p: tallies[p])
     return modal, tallies[modal] / len(post)

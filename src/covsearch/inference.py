@@ -16,8 +16,9 @@ gradient of the log joint in unconstrained coordinates.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -119,7 +120,7 @@ class TraceState:
     log_likelihoods: tuple[float, ...] = ()
     log_prior: float = 0.0
     chols: tuple = ()
-    stats: dict[str, int] = field(default_factory=dict)
+    stats: Counter = field(default_factory=Counter)
 
     @classmethod
     def init(
@@ -160,9 +161,6 @@ class TraceState:
     def log_joint(self) -> float:
         return self.log_likelihood + self.log_prior
 
-    def bump(self, key: str) -> None:
-        self.stats[key] = self.stats.get(key, 0) + 1
-
     def refresh(self) -> None:
         """Recompute every cached score from the current tree."""
         self.log_likelihoods, self.chols = _logliks(
@@ -201,8 +199,7 @@ def _metropolis(
             proposal, state.datasets, state.noise_var
         )
     except NumericError:
-        state.bump(f"{kind}_numeric_reject")
-        state.bump(f"{kind}_reject")
+        state.stats.update((f"{kind}_numeric_reject", f"{kind}_reject"))
         return state
     log_alpha = sum(proposal_lls) - state.log_likelihood + log_correction
     if math.log(_open_uniform(state.rng)) < log_alpha:
@@ -210,9 +207,9 @@ def _metropolis(
         state.log_likelihoods = proposal_lls
         state.chols = proposal_chols
         state.log_prior = ast_log_prior(state.prior, proposal)
-        state.bump(f"{kind}_accept")
+        state.stats[f"{kind}_accept"] += 1
     else:
-        state.bump(f"{kind}_reject")
+        state.stats[f"{kind}_reject"] += 1
     return state
 
 
@@ -239,7 +236,7 @@ def mh_hyper_step(
     """
     sites = hyper_sites(state.ast)
     if not sites:
-        state.bump("hyper_skip")
+        state.stats["hyper_skip"] += 1
         return state
     if site is None:
         site = sites[int(state.rng.integers(len(sites)))]
@@ -361,7 +358,7 @@ def _t_ceiling(offset: float) -> float:
 def gradient_step_hypers(state: TraceState, step_size: float) -> TraceState:
     """One ascent step on all gradient-eligible sites at once."""
     grads = hyper_gradients(state)
-    state.bump("gradient_steps")
+    state.stats["gradient_steps"] += 1
     if not grads or step_size == 0.0:
         return state
     ast = state.ast
@@ -404,19 +401,44 @@ def _mh_fallback_sites(ast: KernelAst) -> list[tuple[int, int]]:
     return [site for site in hyper_sites(ast) if site not in eligible]
 
 
-def _hyper_phase(state: TraceState, cfg: ScheduleConfig) -> None:
+def sweep_moves(state: TraceState, cfg: ScheduleConfig) -> TraceState:
+    """One sweep on one tree: `cfg.hyper_steps` hyper steps, then structure moves."""
     for _ in range(cfg.hyper_steps):
-        if cfg.hyper_mode == "mh":
-            mh_hyper_step(state)
-            continue
-        can_grad = gradient_supported(state.ast) and gradient_sites(state.ast)
-        if not can_grad:
+        if cfg.hyper_mode == "mh" or not (
+            gradient_supported(state.ast) and gradient_sites(state.ast)
+        ):
             mh_hyper_step(state)
             continue
         gradient_step_hypers(state, cfg.step_size)
         if cfg.hyper_mode == "mixed":
             for site in _mh_fallback_sites(state.ast):
                 mh_hyper_step(state, site)
+    for _ in range(cfg.structure_steps):
+        mh_structure_step(state)
+    return state
+
+
+def run_chains(
+    cfg: ScheduleConfig, start: Callable, step: Callable, record: Callable
+) -> list:
+    """Run `cfg.chains` chains; list `record(chain, sweep, state)` per sweep.
+
+    Chain c starts at `start(rng)`, with rng drawing from child c of
+    `SeedSequence(cfg.seed)`, and `step(state)` takes one sweep. A
+    `NumericError` gains a `chain c start:` or `chain c sweep s:` prefix.
+    """
+    samples = []
+    for chain, seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.chains)):
+        where = f"chain {chain} start"
+        try:
+            state = start(np.random.default_rng(seq))
+            for sweep in range(cfg.sweeps):
+                where = f"chain {chain} sweep {sweep}"
+                step(state)
+                samples.append(record(chain, sweep, state))
+        except NumericError as err:
+            raise NumericError(f"{where}: {err}", jitters=err.jitters) from err
+    return samples
 
 
 def run_schedule(
@@ -426,19 +448,15 @@ def run_schedule(
     noise_var: float = DEFAULT_NOISE_VAR,
     skeleton: KernelAst | None = None,
 ) -> list[PosteriorSample]:
-    """Run `cfg.sweeps` sweeps and record one sample per sweep per chain.
+    """Run `cfg.sweeps` sweeps of `sweep_moves` per chain through `run_chains`.
 
-    Each sweep interleaves a hyperparameter phase with a block of
-    structure moves. Chains draw their generators from one seed
-    sequence, so runs are reproducible given `cfg.seed`. Each chain
-    starts at a prior draw: a whole tree, or with `skeleton` a tree of
-    its shape whose hypers are drawn site by site in `hyper_sites` order.
+    Each chain starts at a prior draw: a whole tree, or with `skeleton` a
+    tree of its shape whose hypers are drawn site by site in
+    `hyper_sites` order.
     """
     prior = prior if prior is not None else PriorConfig()
-    samples: list[PosteriorSample] = []
-    seed_seq = np.random.SeedSequence(cfg.seed)
-    for chain, child_seq in enumerate(seed_seq.spawn(cfg.chains)):
-        rng = np.random.default_rng(child_seq)
+
+    def start(rng: np.random.Generator) -> TraceState:
         if skeleton is None:
             ast = sample_ast(prior, rng)
         else:
@@ -446,27 +464,15 @@ def run_schedule(
             for node, slot in hyper_sites(skeleton):
                 offset = skeleton.nodes[node].hypers[slot].offset
                 ast = with_hyper(ast, node, slot, sample_hyper(rng, offset))
-        state = TraceState.init(ast, data, prior, rng, noise_var)
-        for sweep in range(cfg.sweeps):
-            try:
-                _hyper_phase(state, cfg)
-                for _ in range(cfg.structure_steps):
-                    mh_structure_step(state)
-            except NumericError as err:
-                raise NumericError(
-                    f"chain {chain} sweep {sweep}: {err}", jitters=err.jitters
-                ) from err
-            samples.append(
-                PosteriorSample(
-                    chain=chain,
-                    sweep=sweep,
-                    label=structure_label(state.ast),
-                    ast=state.ast,
-                    log_likelihood=state.log_likelihood,
-                    log_prior=state.log_prior,
-                )
-            )
-    return samples
+        return TraceState.init(ast, data, prior, rng, noise_var)
+
+    def record(chain: int, sweep: int, state: TraceState) -> PosteriorSample:
+        return PosteriorSample(
+            chain, sweep, structure_label(state.ast), state.ast,
+            state.log_likelihood, state.log_prior,
+        )
+
+    return run_chains(cfg, start, lambda state: sweep_moves(state, cfg), record)
 
 
 def run_hyper_inference(
@@ -502,10 +508,11 @@ def run_hyper_inference(
 # Aggregation over recorded samples
 
 
-def drop_burn_in(
-    samples: Sequence[PosteriorSample], fraction: float
-) -> list[PosteriorSample]:
-    """Discard the first `fraction` of sweeps of every chain."""
+def drop_burn_in(samples: Sequence, fraction: float) -> list:
+    """Discard the first ceil(`fraction` * sweeps) sweeps of every chain.
+
+    Samples need `chain` and `sweep`. A cut that drops them all keeps all.
+    """
     if not 0.0 <= fraction < 1.0:
         raise ValueError(f"burn-in fraction {fraction} outside [0, 1)")
     by_chain: dict[int, int] = {}
@@ -516,7 +523,7 @@ def drop_burn_in(
         cutoff = math.ceil((by_chain[sample.chain] + 1) * fraction)
         if sample.sweep >= cutoff:
             kept.append(sample)
-    return kept
+    return kept or list(samples)
 
 
 def structure_histogram(samples: Sequence[PosteriorSample]) -> dict[str, int]:

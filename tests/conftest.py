@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from covsearch.gp import Dataset
-from covsearch.kernels import from_nested
+from covsearch.kernels import build_cov_matrix, from_nested
 from covsearch.prior import PriorConfig, sample_ast
 
 
@@ -27,6 +27,12 @@ def toy_data(seed=0, n=6, spread=1.0):
     xs = np.sort(gen.uniform(0.0, 10.0, n))
     ys = spread * gen.standard_normal(n)
     return Dataset(xs, ys)
+
+
+def gp_draw(ast, xs, gen, noise_var=0.1):
+    """One series from the GP of `ast` on `xs`, observation noise included."""
+    cov = build_cov_matrix(ast, xs) + noise_var * np.eye(xs.size)
+    return np.linalg.cholesky(cov) @ gen.standard_normal(xs.size)
 
 
 def random_asts(count, seed, cfg=None):

@@ -528,6 +528,13 @@ def test_criterion_10_runs_are_byte_identical(capsys, tmp_path):
         "--out", str(synth_dir), "--seed", "12",
     )
     data_file = synth_dir / "lin_plus_per.csv"
+    panel_file = synth_dir / "panel.csv"
+    rows = ["series_id,x,y"]
+    for seed, kind in ((13, "linear"), (14, "periodic"), (15, "linear")):
+        series = cs.synth_data(kind, 20, np.random.default_rng(seed))
+        pairs = zip(series.xs.tolist(), series.ys.tolist())
+        rows += [f"{kind}{seed},{x!r},{y!r}" for x, y in pairs]
+    panel_file.write_text("\n".join(rows) + "\n")
 
     runs = {
         "fit": (
@@ -545,6 +552,12 @@ def test_criterion_10_runs_are_byte_identical(capsys, tmp_path):
             "--set", "schedule.sweeps=2",
             "--set", "schedule.hyper_steps=6",
         ),
+        "cluster": (
+            "cluster", "--data", str(panel_file), "--seed", "21",
+            "--set", "schedule.sweeps=6",
+            "--set", "schedule.hyper_steps=6",
+            "--set", "schedule.structure_steps=6",
+        ),
     }
     names, mismatched = [], []
     for task, args in runs.items():
@@ -561,12 +574,12 @@ def test_criterion_10_runs_are_byte_identical(capsys, tmp_path):
             if (out_one / name).read_bytes() != (out_two / name).read_bytes()
         ]
     elapsed = time.monotonic() - start
-    ok = not mismatched and len(names) >= 6
+    ok = not mismatched and len(names) >= 8
     report(
         capsys, 10, ok,
-        f"two identical runs each of a single-chain fit and a 2-chain "
-        f"compare-inference, {len(names)} output files compared byte for "
-        f"byte, mismatches: {mismatched or 'none'}; {elapsed:.0f}s",
+        f"two identical runs each of a single-chain fit, a 2-chain "
+        f"compare-inference and a cluster, {len(names)} output files compared "
+        f"byte for byte, mismatches: {mismatched or 'none'}; {elapsed:.0f}s",
     )
     assert not mismatched
-    assert len(names) >= 6
+    assert len(names) >= 8

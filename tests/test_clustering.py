@@ -1,6 +1,7 @@
 """Partition prior, Gibbs reassignment, and the clustering schedule."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from covsearch.clustering import (
 )
 from covsearch.gp import Dataset, log_marginal
 from covsearch.inference import ScheduleConfig
-from covsearch.prior import PriorConfig, ast_log_prior
+from covsearch.prior import PriorConfig, ast_log_prior, sample_ast
 
-from conftest import set_partitions, toy_data
+from conftest import gp_draw, set_partitions, toy_data
 
 EMPTY = Dataset(np.empty(0), np.empty(0))
 
@@ -106,7 +107,7 @@ def test_canonical_partition_sorts_blocks_by_least_member():
 def test_modal_partition_drops_burn_in_and_breaks_ties_by_sort_order():
     apart, together = ((0,), (1,)), ((0, 1),)
     order = [together, apart, together, apart, together, apart]
-    samples = [ClusterSample(i, p, ()) for i, p in enumerate(order)]
+    samples = [ClusterSample(0, i, p, ()) for i, p in enumerate(order)]
     # ceil(0.2 * 6) = 2 sweeps go; the rest tie 2-2 and `apart` sorts first.
     assert modal_partition(samples, 0.2) == (apart, 0.5)
     assert modal_partition(samples[:5], 0.0) == (together, 0.6)
@@ -158,6 +159,46 @@ def test_reassignment_tracks_the_crp_on_empty_data():
     assert together / trials == pytest.approx(2.0 / 3.0, abs=0.04)
 
 
+def test_cluster_sweep_keeps_the_crp_under_joint_simulation():
+    # Geweke's successive-conditional check: draw each of 4 series from
+    # its cluster's GP, then take one sweep given them. A sweep that
+    # leaves every posterior invariant keeps the partitions at the CRP.
+    # Without log(size) in the weights: TV 0.30; with every fresh tree
+    # drawn from the prior, a singleton's too: TV 0.18.
+    alpha, prior = 0.5, PriorConfig(p_branch=0.35, max_depth=2)
+    target = {}
+    for partition in set_partitions(range(4)):
+        assignments = partition_to_assignments(partition)
+        target[canonical_partition(assignments)] = math.exp(
+            crp_log_prior(assignments, alpha)
+        )
+    xs = np.linspace(0.0, 5.0, 5)
+    cfg = ScheduleConfig(hyper_steps=1, structure_steps=1)
+    gen = np.random.default_rng(1)
+    # A CRP draw, seat by seat, with a prior tree per table.
+    assignments = {}
+    for index in range(4):
+        weights = np.append(np.bincount(list(assignments.values())), alpha)
+        assignments[index] = int(gen.choice(weights.size, p=weights / weights.sum()))
+    asts = {cid: sample_ast(prior, gen) for cid in set(assignments.values())}
+    counts = {}
+    steps = 5_000
+    for _ in range(steps):
+        series = tuple(
+            Dataset(xs, gp_draw(asts[assignments[i]], xs, gen)) for i in range(4)
+        )
+        lls = {i: log_marginal(asts[c], series[i]) for i, c in assignments.items()}
+        state = ClusterState(
+            series, assignments, asts, alpha, prior, 0.1, gen, lls, max(asts) + 1
+        )
+        cluster_sweep(state, cfg)
+        assignments, asts = state.assignments, state.cluster_asts
+        partition = canonical_partition(assignments)
+        counts[partition] = counts.get(partition, 0) + 1
+    tv = 0.5 * sum(abs(counts.get(p, 0) / steps - q) for p, q in target.items())
+    assert tv <= 0.08
+
+
 def test_tiny_concentration_merges_identical_series():
     shared = toy_data(seed=4, n=10)
     cfg = ScheduleConfig(sweeps=60, hyper_steps=2, structure_steps=2, seed=5)
@@ -179,6 +220,10 @@ def test_cluster_schedule_deterministic():
     first = run_cluster_schedule(series, cfg)
     second = run_cluster_schedule(series, cfg)
     assert first == second
+    # Chain 0 draws from child 0 of the seed sequence whatever the chain count.
+    three = run_cluster_schedule(series, replace(cfg, chains=3))
+    assert [s for s in three if s.chain == 0] == first
+    assert {s.chain for s in three} == {0, 1, 2}
 
 
 def test_cluster_samples_expose_block_labels():
@@ -241,9 +286,11 @@ def test_sweep_scores_each_proposal_and_candidate_once(monkeypatch):
     monkeypatch.setattr(gp, "observed_chol", counted_factor)
     monkeypatch.setattr(inference, "log_marginal_and_chol", counted)
     monkeypatch.setattr(clustering, "reassign_series_step", counted_reassign)
-    monkeypatch.setattr(clustering, "mh_hyper_step", counted_move(clustering.mh_hyper_step))
     monkeypatch.setattr(
-        clustering, "mh_structure_step", counted_move(clustering.mh_structure_step)
+        inference, "mh_hyper_step", counted_move(inference.mh_hyper_step)
+    )
+    monkeypatch.setattr(
+        inference, "mh_structure_step", counted_move(inference.mh_structure_step)
     )
     cluster_sweep(state, cfg)
     assert len(scored) == expected["scores"]

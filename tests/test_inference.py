@@ -1,10 +1,12 @@
 """Structure MH, hyperparameter moves, gradients, and schedules."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.special import expit
 
 from covsearch.errors import NumericError, UnsupportedMoveError
 from covsearch.gp import Dataset, log_marginal
@@ -25,6 +27,7 @@ from covsearch.inference import (
     run_hyper_inference,
     run_schedule,
     structure_histogram,
+    sweep_moves,
 )
 from covsearch.kernels import hyper_sites, structure_label, with_hyper, HyperSite
 from covsearch.prior import (
@@ -38,7 +41,7 @@ from covsearch.prior import (
     unconstrained_log_prior_grad,
 )
 
-from conftest import leaf, toy_data, tree
+from conftest import gp_draw, leaf, toy_data, tree
 
 EMPTY = Dataset(np.empty(0), np.empty(0))
 
@@ -200,6 +203,49 @@ def test_structure_chain_leaves_prior_invariant_on_empty_data():
         abs(counts.get(lab, 0) / steps - p) for lab, p in target.items()
     )
     assert tv < 0.02
+
+
+def batch_z(values, exact, batches=50):
+    """z of the mean of a correlated series against `exact`, by batch means."""
+    values = np.asarray(values, dtype=float)
+    means = values[: values.size // batches * batches].reshape(batches, -1).mean(axis=1)
+    return (means.mean() - exact) / (means.std(ddof=1) / math.sqrt(batches))
+
+
+def test_mh_sweep_keeps_the_prior_under_joint_simulation():
+    # Geweke's successive-conditional check: draw y from the current
+    # tree's GP, then take one `mh` sweep given y. A sweep that leaves
+    # every posterior invariant keeps the trees at their prior, so the
+    # label masses and mean |T| match the enumeration, and the mean over
+    # sites of u = logistic(t), the uniform behind each hyper, is 1/2.
+    # Without the |T| / |T'| correction: z of |T| +20.5, TV 0.26.
+    prior = PriorConfig(p_branch=0.35, max_depth=2)
+    from test_prior import _enumerate_structures, _shape_tree
+
+    target, mean_size = {}, 0.0
+    for shape, prob in _enumerate_structures(prior):
+        ast = tree(_shape_tree(shape))
+        target[structure_label(ast)] = target.get(structure_label(ast), 0.0) + prob
+        mean_size += prob * len(ast)
+    xs = np.linspace(0.0, 5.0, 6)
+    cfg = ScheduleConfig(hyper_steps=1, structure_steps=1, hyper_mode="mh")
+    gen = np.random.default_rng(1)
+    ast = sample_ast(prior, gen)
+    sizes, us, counts = [], [], {}
+    steps = 25_000
+    for _ in range(steps):
+        ys = gp_draw(ast, xs, gen)
+        ast = sweep_moves(TraceState.init(ast, Dataset(xs, ys), prior, gen), cfg).ast
+        sizes.append(len(ast))
+        ts = [ast.nodes[n].hypers[s].unconstrained for n, s in hyper_sites(ast)]
+        us.append(float(np.mean(expit(ts))))
+        label = structure_label(ast)
+        counts[label] = counts.get(label, 0) + 1
+    assert set(counts) <= set(target)
+    tv = 0.5 * sum(abs(counts.get(lab, 0) / steps - p) for lab, p in target.items())
+    assert abs(batch_z(sizes, mean_size)) <= 4.0
+    assert abs(batch_z(us, 0.5)) <= 4.0
+    assert tv <= 0.12
 
 
 @pytest.mark.parametrize("kind", ["structure", "hyper"])
@@ -500,6 +546,11 @@ def test_run_schedule_shapes_and_determinism():
     assert [s.label for s in first] == [s.label for s in second]
     assert [s.log_likelihood for s in first] == [s.log_likelihood for s in second]
     assert [s.log_prior for s in first] == [s.log_prior for s in second]
+    # Chain 0 draws from child 0 of the seed sequence whatever the chain count.
+    alone = run_schedule(data, replace(cfg, chains=1))
+    assert [(s.label, s.log_likelihood, s.log_prior) for s in alone] == [
+        (s.label, s.log_likelihood, s.log_prior) for s in first if s.chain == 0
+    ]
 
 
 def test_run_schedule_skeleton_pins_the_shape():
@@ -525,18 +576,34 @@ def test_run_schedule_handles_changepoint_trees_in_mixed_mode():
         assert _hypers(samples[0]) != _hypers(samples[1])
 
 
-def test_run_schedule_wraps_numeric_failures_with_provenance(monkeypatch):
-    import covsearch.inference as inf
+@pytest.mark.parametrize(
+    "runner, failing, where",
+    [
+        ("run_schedule", "inference.log_marginal_and_chol", "chain 0 start"),
+        ("run_schedule", "inference.mh_structure_step", "chain 0 sweep 0"),
+        ("run_cluster_schedule", "clustering.log_marginal", "chain 0 start"),
+        ("run_cluster_schedule", "inference.mh_structure_step", "chain 0 sweep 0"),
+    ],
+    ids=["schedule-start", "schedule-sweep", "cluster-start", "cluster-sweep"],
+)
+def test_run_schedule_wraps_numeric_failures_with_provenance(
+    monkeypatch, runner, failing, where
+):
+    import importlib
 
-    def explode(state):
+    module, name = failing.split(".")
+
+    def explode(*args, **kwargs):
         raise NumericError("boom", jitters=(0.0,))
 
-    monkeypatch.setattr(inf, "mh_structure_step", explode)
+    monkeypatch.setattr(importlib.import_module(f"covsearch.{module}"), name, explode)
+    run = getattr(importlib.import_module("covsearch"), runner)
     data = toy_data(seed=29, n=4)
     cfg = ScheduleConfig(sweeps=1, hyper_steps=0, structure_steps=1, seed=8)
     with pytest.raises(NumericError) as info:
-        inf.run_schedule(data, cfg)
-    assert "chain 0 sweep 0" in str(info.value)
+        run(data if runner == "run_schedule" else [data, data], cfg)
+    assert str(info.value) == f"{where}: boom"
+    assert info.value.jitters == (0.0,)
 
 
 def _hypers(sample):
@@ -653,6 +720,8 @@ def test_drop_burn_in_cuts_per_chain():
         (0, 5), (0, 6), (0, 7), (0, 8), (0, 9), (1, 2), (1, 3),
     ]
     assert drop_burn_in(samples, 0.0) == samples
+    # ceil(0.5 * 1) drops a one-sweep chain whole, so everything is kept.
+    assert drop_burn_in(samples[:1], 0.5) == samples[:1]
     with pytest.raises(ValueError):
         drop_burn_in(samples, 1.0)
 

@@ -9,6 +9,7 @@ import numpy as np
 import covsearch.cli as cli
 import covsearch.clustering as clustering
 from covsearch.inference import ScheduleConfig
+from covsearch.kernels import structure_label
 
 from conftest import leaf, toy_data
 
@@ -40,3 +41,27 @@ def test_captured_runners_exist_and_return_scored_finals():
     for final in finals:
         assert final.ast.nodes[1].hypers
         assert np.isfinite(final.log_likelihood + final.log_prior)
+
+
+def test_cluster_runs_call_cluster_sweep_through_the_module(monkeypatch):
+    # perfbench/run.py's install_capture wraps `clustering.cluster_sweep` by
+    # name and checks the state it returns; a driver holding its own
+    # reference to the function would leave that check without a state.
+    original, states = clustering.cluster_sweep, []
+
+    def kept(*args, **kwargs):
+        states.append(original(*args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(clustering, "cluster_sweep", kept)
+    cfg = ScheduleConfig(sweeps=3, hyper_steps=2, structure_steps=2, seed=1)
+    series = [toy_data(seed=s, n=5) for s in (1, 2, 3)]
+    samples = clustering.run_cluster_schedule(series, cfg)
+    assert len(states) == cfg.sweeps
+    final = states[-1]
+    partition = clustering.canonical_partition(final.assignments)
+    assert samples[-1].partition == partition
+    assert samples[-1].labels == tuple(
+        structure_label(final.cluster_asts[final.assignments[block[0]]])
+        for block in partition
+    )
