@@ -47,4 +47,4 @@ def blr_baseline(train: Dataset, probe_xs) -> GpPosterior:
     solved = cho_solve(np.linalg.cholesky(precision), probe_design.T)
     leverage = np.einsum("ij,ji->i", probe_design, solved)
     variance = rate * (1.0 + leverage) / (shape - 1.0)
-    return GpPosterior(mean=mean, cov=np.diag(variance))
+    return GpPosterior(mean=mean, variance=variance)

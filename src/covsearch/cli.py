@@ -135,9 +135,7 @@ def _run_fit_predict(args, cfg: RunConfig) -> None:
     map_label = map_structure(kept)
 
     grid = np.linspace(float(np.min(full.xs)), float(np.max(full.xs)), cfg.probe_count)
-    probes = [(grid, False)]
-    if len(held) > 0:
-        probes.append((held.xs, True))
+    probes = [grid, held.xs] if len(held) > 0 else [grid]
     groups = [
         range(len(kept)),
         [i for i, sample in enumerate(kept) if sample.label == map_label],

@@ -184,6 +184,7 @@ def _cluster_tree_moves(state: ClusterState, cid: int, cfg: ScheduleConfig) -> N
     sweep_moves(trace, cfg)
     state.cluster_asts[cid] = trace.ast
     state.member_lls.update(zip(members, trace.log_likelihoods))
+    state.stats.update(trace.stats)
 
 
 @dataclass(frozen=True)

@@ -87,14 +87,10 @@ class Dataset:
 
 @dataclass(frozen=True)
 class GpPosterior:
-    """Predictive Gaussian at a set of probe points."""
+    """Pointwise predictive mean and variance at a set of probe points."""
 
     mean: np.ndarray
-    cov: np.ndarray
-
-    @property
-    def variance(self) -> np.ndarray:
-        return np.diag(self.cov).copy()
+    variance: np.ndarray
 
 
 def chol_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
@@ -272,32 +268,23 @@ def predict(
     train: Dataset,
     probe_xs,
     noise_var: float = DEFAULT_NOISE_VAR,
-    noisy: bool = False,
     factor: np.ndarray | None = None,
 ) -> GpPosterior:
-    """Posterior Gaussian at probe points given training data.
+    """Latent function's posterior mean and variance at probe points.
 
-    With `noisy` the returned covariance includes the observation noise,
-    i.e. it describes new measurements rather than the latent function.
+    A new observation at a probe point has variance `noise_var` more.
     `factor` is `observed_chol(ast, train, noise_var)` when the caller
     holds it already, for instance to predict several probe sets.
     """
     probe = np.asarray(probe_xs, dtype=float)
     if probe.ndim != 1 or probe.size == 0:
         raise ValueError("probe inputs must be a non-empty vector")
-    prior_cov = build_cov_matrix(ast, probe)
+    variance = build_cov_matrix(ast, probe).diagonal()
     if len(train) == 0:
-        mean = np.zeros(probe.size)
-        cov = prior_cov
-    else:
-        if factor is None:
-            factor = observed_chol(ast, train, noise_var)
-        cross = cross_cov_matrix(ast, train.xs, probe)
-        solved = cho_solve(factor, train.ys)
-        mean = cross.T @ solved
-        half = solve_lower(factor, cross)
-        cov = prior_cov - half.T @ half
-    cov = 0.5 * (cov + cov.T)
-    if noisy:
-        cov = cov + noise_var * np.eye(probe.size)
-    return GpPosterior(mean=mean, cov=cov)
+        return GpPosterior(mean=np.zeros(probe.size), variance=variance.copy())
+    if factor is None:
+        factor = observed_chol(ast, train, noise_var)
+    cross = cross_cov_matrix(ast, train.xs, probe)
+    mean = cross.T @ cho_solve(factor, train.ys)
+    half = solve_lower(factor, cross)
+    return GpPosterior(mean=mean, variance=variance - np.einsum("ij,ij->j", half, half))

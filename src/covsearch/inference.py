@@ -549,18 +549,17 @@ def averaged_prediction(
     train: Dataset,
     probe_xs,
     noise_var: float = DEFAULT_NOISE_VAR,
-    noisy: bool = False,
 ) -> GpPosterior:
     """Mixture predictive over every recorded sample.
 
     The mixture mean is the average of per-sample means and the mixture
-    covariance adds the spread between those means. `compare-inference`
+    variance adds the spread between those means. `compare-inference`
     predicts its holdout through it and README's Library example uses
     it; `fit` predicts several groups at once through
     `averaged_predictions`.
     """
     [[post]] = averaged_predictions(
-        samples, train, [(probe_xs, noisy)], [range(len(samples))], noise_var
+        samples, train, [probe_xs], [range(len(samples))], noise_var
     )
     return post
 
@@ -568,29 +567,26 @@ def averaged_prediction(
 def averaged_predictions(
     samples: Sequence[PosteriorSample],
     train: Dataset,
-    probes: Sequence[tuple[np.ndarray, bool]],
+    probes: Sequence[np.ndarray],
     groups: Sequence[Sequence[int]],
     noise_var: float = DEFAULT_NOISE_VAR,
 ) -> list[list[GpPosterior]]:
     """Mixture predictives of several groups of samples at several probe sets.
 
-    `probes` holds (probe inputs, noisy) pairs and each group holds
-    sample indices. The result has one row per group with one mixture
-    per probe set, each as `averaged_prediction` gives it; members are
-    averaged in sample order. Every sample a group names is predicted
-    once per probe set, from one factorization of its training
-    covariance, and feeds every group that names it; a sample whose
-    `ast` is the very object of the sample before it (a rejected step
-    keeps the state's tree) reuses that sample's predictives. Only each
-    sample's `ast` is read, so chain states serve as well.
+    Each group holds sample indices. The result has one row per group
+    with one mixture per probe set, each as `averaged_prediction` gives
+    it; members are averaged in sample order. Every sample a group names
+    is predicted once per probe set, from one factorization of its
+    training covariance, and feeds every group that names it; a sample
+    whose `ast` is the very object of the sample before it (a rejected
+    step keeps the state's tree) reuses that sample's predictives. Only
+    each sample's `ast` is read, so chain states serve as well.
     """
     if not all(groups):
         raise ValueError("no samples to average over")
-    arrays = [np.asarray(xs, dtype=float) for xs, _ in probes]
-    sums = [
-        [(np.zeros(probe.size), np.zeros((probe.size, probe.size))) for probe in arrays]
-        for _ in groups
-    ]
+    arrays = [np.asarray(xs, dtype=float) for xs in probes]
+    # Per group and probe set: the sums of the means and of the second moments.
+    sums = [[np.zeros((2, probe.size)) for probe in arrays] for _ in groups]
     named: dict[int, list[int]] = {}
     for g, group in enumerate(groups):
         for index in group:
@@ -601,20 +597,17 @@ def averaged_predictions(
         if ast is not last_ast:
             last_ast, moments = ast, []
             factor = observed_chol(ast, train, noise_var) if len(train) else None
-            for probe, (_, noisy) in zip(arrays, probes):
-                post = predict(ast, train, probe, noise_var, noisy, factor)
-                moments.append((post.mean, post.cov + np.outer(post.mean, post.mean)))
-        for p, (mean, spread) in enumerate(moments):
+            for probe in arrays:
+                post = predict(ast, train, probe, noise_var, factor)
+                second = post.variance + post.mean * post.mean
+                moments.append(np.stack([post.mean, second]))
+        for p, moment in enumerate(moments):
             for g in named[index]:
-                mean_acc, cov_acc = sums[g][p]
-                mean_acc += mean
-                cov_acc += spread
+                sums[g][p] += moment
     mixtures = []
     for group, row in zip(groups, sums):
         mixtures.append([])
-        for probe, (mean_acc, cov_acc) in zip(arrays, row):
-            mean = mean_acc / len(group)
-            cov = cov_acc / len(group) - np.outer(mean, mean)
-            cov = 0.5 * (cov + cov.T)
-            mixtures[-1].append(GpPosterior(mean=mean, cov=cov))
+        for acc in row:
+            mean, second = acc / len(group)
+            mixtures[-1].append(GpPosterior(mean=mean, variance=second - mean * mean))
     return mixtures

@@ -340,11 +340,9 @@ def test_criterion_06_structure_posterior_and_model_averaging(capsys):
         kept = drop_burn_in(run_schedule(train, cfg), 0.3)
         all_kept.extend(kept)
         map_label = map_structure(kept)
-        avg = averaged_prediction(kept[::3], train, hold.xs, noisy=True)
+        avg = averaged_prediction(kept[::3], train, hold.xs)
         map_samples = [s for s in kept if s.label == map_label]
-        map_pred = averaged_prediction(
-            map_samples[::3] or map_samples, train, hold.xs, noisy=True
-        )
+        map_pred = averaged_prediction(map_samples[::3] or map_samples, train, hold.xs)
         wins += rmse(avg.mean, hold.ys) < rmse(map_pred.mean, hold.ys)
 
     hist = structure_histogram(all_kept)
@@ -403,10 +401,7 @@ def test_criterion_08_gp_beats_blr_where_it_should(capsys):
         sweeps=80, hyper_steps=60, structure_steps=80, chains=8, seed=9, burn_in=0.3
     )
     kept_a = drop_burn_in(run_schedule(train_a, cfg_a), 0.3)
-    gp_a = rmse(
-        averaged_prediction(kept_a[::6], train_a, hold_a.xs, noisy=True).mean,
-        hold_a.ys,
-    )
+    gp_a = rmse(averaged_prediction(kept_a[::6], train_a, hold_a.xs).mean, hold_a.ys)
     blr_a = rmse(blr_baseline(train_a, hold_a.xs).mean, hold_a.ys)
 
     # interpolation across a level shift
@@ -416,10 +411,7 @@ def test_criterion_08_gp_beats_blr_where_it_should(capsys):
         sweeps=30, hyper_steps=50, structure_steps=50, chains=8, seed=9, burn_in=0.3
     )
     kept_c = drop_burn_in(run_schedule(train_c, cfg_c), 0.3)
-    gp_c = rmse(
-        averaged_prediction(kept_c[::4], train_c, hold_c.xs, noisy=True).mean,
-        hold_c.ys,
-    )
+    gp_c = rmse(averaged_prediction(kept_c[::4], train_c, hold_c.xs).mean, hold_c.ys)
     blr_c = rmse(blr_baseline(train_c, hold_c.xs).mean, hold_c.ys)
 
     elapsed = time.monotonic() - start

@@ -199,6 +199,21 @@ def test_cluster_sweep_keeps_the_crp_under_joint_simulation():
     assert tv <= 0.08
 
 
+def test_cluster_sweep_counts_every_tree_move():
+    series = [toy_data(seed=s, n=5) for s in (20, 21, 22)]
+    state = ClusterState.init(series, np.random.default_rng(23))
+    cfg = ScheduleConfig(hyper_steps=3, structure_steps=2)
+    clusters_swept = 0
+    for _ in range(5):
+        cluster_sweep(state, cfg)
+        clusters_swept += len(canonical_partition(state.assignments))
+    stats = state.stats
+    assert stats["structure_accept"] + stats["structure_reject"] == 2 * clusters_swept
+    hyper = stats["hyper_accept"] + stats["hyper_reject"] + stats["hyper_skip"]
+    assert hyper == 3 * clusters_swept
+    assert stats["reassign_moves"] + stats["reassign_stuck"] == 5 * len(series)
+
+
 def test_tiny_concentration_merges_identical_series():
     shared = toy_data(seed=4, n=10)
     cfg = ScheduleConfig(sweeps=60, hyper_steps=2, structure_steps=2, seed=5)

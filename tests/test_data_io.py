@@ -29,8 +29,8 @@ from covsearch.data import (
 )
 from covsearch.errors import ConfigError, DataError
 from covsearch.gp import Dataset, predict
-from covsearch.inference import ScheduleConfig
-from covsearch.kernels import structure_label
+from covsearch.inference import ScheduleConfig, drop_burn_in
+from covsearch.kernels import build_cov_matrix, cross_cov_matrix, structure_label
 from covsearch.prior import PriorConfig
 from covsearch.results import emit_results, fmt_float, mse, render_histogram, rmse
 
@@ -534,6 +534,56 @@ def test_cli_synth_then_fit_then_predict(tmp_path):
     assert "sample_0" in header and "sample_1" in header
     metrics = json.loads((out_pred / "metrics.json").read_text())
     assert metrics["n_holdout"] == 0
+
+
+def test_cli_fit_std_is_the_dense_mixture_std(tmp_path, monkeypatch):
+    import covsearch.cli as cli
+
+    captured = {}
+    run_schedule = cli.run_schedule
+
+    def kept_run(train, *args, **kwargs):
+        captured["train"] = train
+        captured["samples"] = run_schedule(train, *args, **kwargs)
+        return captured["samples"]
+
+    monkeypatch.setattr(cli, "run_schedule", kept_run)
+    out_synth = tmp_path / "synth"
+    assert run_cli(
+        "synth-data", "--kind", "lin_plus_per", "--n", "40",
+        "--out", str(out_synth), "--seed", "6",
+    ) == 0
+    data_file = out_synth / "lin_plus_per.csv"
+    out = tmp_path / "fit"
+    overrides = (
+        "schedule.sweeps=6", "schedule.hyper_steps=3", "schedule.structure_steps=3",
+        "run.probe_count=25",
+    )
+    flags = [arg for item in overrides for arg in ("--set", item)]
+    assert run_cli(
+        "fit", "--data", str(data_file), "--out", str(out), "--seed", "2", *flags
+    ) == 0
+    cfg = load_config(None, (*overrides, "run.task=fit"))
+    ingested = ingest_csv(data_file, standardize=True)
+    full, train = ingested.dataset, captured["train"]
+    grid = np.linspace(full.xs.min(), full.xs.max(), cfg.probe_count)
+    kept = drop_burn_in(captured["samples"], cfg.schedule.burn_in)
+    assert len({id(s.ast) for s in kept}) > 1
+    means, seconds = [], []
+    for sample in kept:
+        K = build_cov_matrix(sample.ast, train.xs) + cfg.noise_var * np.eye(len(train))
+        Ks = cross_cov_matrix(sample.ast, train.xs, grid)
+        Kss = build_cov_matrix(sample.ast, grid)
+        mean = Ks.T @ np.linalg.solve(K, train.ys)
+        variance = np.diag(Kss - Ks.T @ np.linalg.solve(K, Ks))
+        means.append(mean)
+        seconds.append(variance + mean**2)
+    mixture = np.mean(seconds, axis=0) - np.mean(means, axis=0) ** 2
+    want = np.sqrt(mixture) * ingested.standardization.y_scale
+    lines = (out / "predictions.csv").read_text().splitlines()
+    column = lines[0].split(",").index("std")
+    got = np.array([float(line.split(",")[column]) for line in lines[1:]])
+    assert np.allclose(got, want, rtol=1e-9, atol=0)
 
 
 def test_cli_cluster(tmp_path):

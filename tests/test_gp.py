@@ -13,7 +13,6 @@ from covsearch.gp import (
     DEFAULT_NOISE_VAR,
     JITTER_LADDER,
     Dataset,
-    GpPosterior,
     cho_solve,
     chol_with_jitter,
     log_marginal,
@@ -309,16 +308,7 @@ def test_predict_empty_train_returns_prior():
     probe = np.linspace(0, 5, 4)
     post = predict(ast, Dataset(np.empty(0), np.empty(0)), probe)
     assert np.array_equal(post.mean, np.zeros(4))
-    assert np.allclose(post.cov, build_cov_matrix(ast, probe), atol=0)
-
-
-def test_predict_noisy_adds_noise_to_diagonal():
-    train = toy_data(seed=25, n=6)
-    probe = np.linspace(0, 10, 5)
-    ast = leaf("SE", 1.5)
-    latent = predict(ast, train, probe, noisy=False)
-    noisy = predict(ast, train, probe, noisy=True)
-    assert np.allclose(noisy.cov, latent.cov + 0.1 * np.eye(5), atol=1e-14)
+    assert np.allclose(post.variance, np.diag(build_cov_matrix(ast, probe)), atol=0)
 
 
 def test_predict_interpolates_observations():
@@ -361,14 +351,9 @@ def test_predict_matches_direct_formula():
     want_mean = Ks @ np.linalg.solve(K, train.ys)
     want_cov = Kss - Ks @ np.linalg.solve(K, Ks.T)
     assert np.allclose(post.mean, want_mean, atol=1e-9)
-    assert np.allclose(post.cov, want_cov, atol=1e-9)
+    assert np.allclose(post.variance, np.diag(want_cov), atol=1e-9)
 
 
 def test_predict_rejects_empty_probe():
     with pytest.raises(ValueError):
         predict(leaf("SE", 1.5), toy_data(), np.empty(0))
-
-
-def test_posterior_variance_is_diagonal_of_cov():
-    post = GpPosterior(mean=np.zeros(2), cov=np.array([[2.0, 0.5], [0.5, 3.0]]))
-    assert np.array_equal(post.variance, np.array([2.0, 3.0]))
