@@ -19,8 +19,8 @@ digits.
 
 The same library serves the Cholesky solves and the inverse the
 gradient needs (`lapack_solvers`), so a command-line process loads numpy
-and its one OpenBLAS pool, not a second numerical stack with a pool of
-its own.
+and its one OpenBLAS pool, and no second numerical stack. Where no
+LAPACK can be bound, `gp` solves through `numpy.linalg` instead.
 """
 
 from __future__ import annotations

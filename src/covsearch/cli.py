@@ -27,13 +27,17 @@ from .data import (
     synth_data,
     write_dataset_csv,
 )
-from .errors import ConfigError, DataError, NumericError, StructureError
+from .errors import (
+    ConfigError,
+    DataError,
+    NumericError,
+    StructureError,
+    UnsupportedMoveError,
+)
 from .inference import (
     averaged_prediction,
     averaged_predictions,
     drop_burn_in,
-    gradient_sites,
-    gradient_supported,
     map_structure,
     run_hyper_inference,
     run_schedule,
@@ -225,16 +229,6 @@ def _compare_skeleton(cfg: RunConfig):
         skeleton = from_nested(spec)
     except StructureError as err:
         raise ConfigError(f"compare_structure: {err}") from None
-    if not gradient_supported(skeleton):
-        raise ConfigError(
-            "compare_structure contains a changepoint; the gradient "
-            "method is undefined for it"
-        )
-    if not gradient_sites(skeleton):
-        raise ConfigError(
-            "compare_structure has no hyperparameter that gradient steps "
-            "move (white-noise scales stay on MH moves)"
-        )
     return skeleton
 
 
@@ -258,15 +252,20 @@ def _run_compare(args, cfg: RunConfig) -> None:
         "steps_per_chain": steps,
         "methods": {},
     }
-    for method in ("mh", "gradient"):
-        samples, finals = run_hyper_inference(
-            train,
-            skeleton,
-            method,
-            cfg.schedule,
-            prior=cfg.prior,
-            noise_var=cfg.noise_var,
-        )
+    # The gradient lane goes first: it refuses a skeleton it cannot move
+    # before any chain runs. Each lane seeds its chains on its own.
+    for method in ("gradient", "mh"):
+        try:
+            samples, finals = run_hyper_inference(
+                train,
+                skeleton,
+                method,
+                cfg.schedule,
+                prior=cfg.prior,
+                noise_var=cfg.noise_var,
+            )
+        except UnsupportedMoveError as err:
+            raise ConfigError(f"compare_structure {err}") from None
         columns: dict[str, np.ndarray] = {
             "chain": np.array([t.chain for t in samples], dtype=float),
             "step": np.array([t.sweep for t in samples], dtype=float),

@@ -13,10 +13,6 @@ class NumericError(ArithmeticError):
     kernel routine.
     """
 
-    def __init__(self, message, jitters=()):
-        super().__init__(message)
-        self.jitters = tuple(jitters)
-
 
 class UnsupportedMoveError(RuntimeError):
     """An inference move was requested on a tree that cannot support it."""

@@ -10,10 +10,11 @@ likelihood and its gradient solve against factors `chol_with_jitter`
 has just made, and skip those checks.
 
 The solves and the inverse call LAPACK in the OpenBLAS numpy loads, so
-a command-line process runs on that one OpenBLAS pool. Where that
-library's LAPACK cannot be bound (a numpy built on another BLAS, or no
-/proc to find it) they go through scipy, imported here so that its
-OpenBLAS is loaded before the command line sets thread counts.
+numpy and that one OpenBLAS pool are the program's whole numerical
+stack. Where that library's LAPACK cannot be bound (a numpy built on
+another BLAS, or no /proc to find it) they go through `numpy.linalg`
+instead, whose results differ from the bound routines' in the last
+digits.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .blas import LAPACK_INT, lapack_solvers
 from .errors import NumericError
-from .kernels import KernelAst, build_cov_matrix, cross_cov_matrix, gap_table
+from .kernels import KernelAst, build_cov_matrix, cov_diagonal, cross_cov_matrix, gap_table
 
 DEFAULT_NOISE_VAR = 0.1
 
@@ -37,10 +38,6 @@ JITTER_LADDER = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 _LOG_2PI = math.log(2.0 * math.pi)
 
 _LAPACK = lapack_solvers()
-if _LAPACK is None:
-    from scipy import linalg as _scipy_linalg
-else:
-    _scipy_linalg = None
 
 
 @dataclass(frozen=True)
@@ -113,8 +110,7 @@ def chol_with_jitter(matrix: np.ndarray) -> tuple[np.ndarray, float]:
         except np.linalg.LinAlgError:
             continue
     raise NumericError(
-        f"covariance not positive definite after jitter up to {JITTER_LADDER[-1]:g}",
-        jitters=JITTER_LADDER,
+        f"covariance not positive definite after jitter up to {JITTER_LADDER[-1]:g}"
     )
 
 
@@ -153,7 +149,7 @@ def _solve_size(factor: np.ndarray, rhs: np.ndarray) -> int:
 
 
 def _solve_fresh(factor: np.ndarray, rhs: np.ndarray, cholesky: bool) -> np.ndarray:
-    """LAPACK `dpotrs` (`cholesky`) or `dtrtrs` against a sound factor, or scipy.
+    """LAPACK `dpotrs` (`cholesky`) or `dtrtrs` against a sound factor, or numpy.
 
     The factor must be finite with no zero on its diagonal, as one from
     `chol_with_jitter` is. Only the shapes are checked here, since LAPACK
@@ -162,15 +158,12 @@ def _solve_fresh(factor: np.ndarray, rhs: np.ndarray, cholesky: bool) -> np.ndar
     """
     factor = np.ascontiguousarray(factor, dtype=float)
     n = _solve_size(factor, rhs)
-    if _scipy_linalg is not None:
-        if cholesky:
-            return _scipy_linalg.cho_solve((factor, True), rhs, check_finite=False)
-        return _scipy_linalg.solve_triangular(
-            factor, rhs, lower=True, check_finite=False
-        )
     solution = np.array(rhs, dtype=float, order="F")  # LAPACK overwrites it in place
     if n == 0:
         return solution
+    if _LAPACK is None:
+        solution = np.linalg.solve(factor, solution)
+        return np.linalg.solve(factor.T, solution) if cholesky else solution
     dpotrs, dtrtrs, _ = _LAPACK
     size, count, info = LAPACK_INT(n), LAPACK_INT(solution.size // n), LAPACK_INT(0)
     ref = ctypes.byref
@@ -187,7 +180,7 @@ def _solve_fresh(factor: np.ndarray, rhs: np.ndarray, cholesky: bool) -> np.ndar
 
 
 def _inverse_fresh(factor: np.ndarray) -> np.ndarray:
-    """(L L^T)^{-1} for a sound lower factor L, by LAPACK `dpotri`, or scipy.
+    """(L L^T)^{-1} for a sound lower factor L, by LAPACK `dpotri`, or numpy.
 
     The factor must be as `_solve_fresh` asks, and is left as it is.
     `dpotri` writes one triangle of the inverse, in a third of the flops
@@ -198,19 +191,18 @@ def _inverse_fresh(factor: np.ndarray) -> np.ndarray:
     n = _solve_size(factor, factor)
     if n == 0:
         return np.empty((0, 0))
-    info = LAPACK_INT(0)
-    if _scipy_linalg is not None:
-        inverse, info.value = _scipy_linalg.lapack.dpotri(factor, lower=True)
-        inverse = np.tril(inverse)
+    if _LAPACK is None:
+        inv = np.linalg.inv(factor)
+        inverse = np.tril(inv.T @ inv)
     else:
         # C-order L is Fortran-order U, which dpotri overwrites with the
         # upper triangle of (U^T U)^{-1}: in C order, the lower one.
         inverse = np.tril(factor)
-        size = LAPACK_INT(n)
+        size, info = LAPACK_INT(n), LAPACK_INT(0)
         _LAPACK[2](b"U", ctypes.byref(size), inverse.ctypes.data, ctypes.byref(size),
                    ctypes.byref(info), 1)
-    if info.value:
-        raise ValueError(f"LAPACK dpotri failed with info {info.value}")
+        if info.value:
+            raise ValueError(f"LAPACK dpotri failed with info {info.value}")
     inverse += np.tril(inverse, -1).T
     return inverse
 
@@ -279,9 +271,9 @@ def predict(
     probe = np.asarray(probe_xs, dtype=float)
     if probe.ndim != 1 or probe.size == 0:
         raise ValueError("probe inputs must be a non-empty vector")
-    variance = build_cov_matrix(ast, probe).diagonal()
+    variance = cov_diagonal(ast, probe)
     if len(train) == 0:
-        return GpPosterior(mean=np.zeros(probe.size), variance=variance.copy())
+        return GpPosterior(mean=np.zeros(probe.size), variance=variance)
     if factor is None:
         factor = observed_chol(ast, train, noise_var)
     cross = cross_cov_matrix(ast, train.xs, probe)

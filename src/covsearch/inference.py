@@ -263,8 +263,11 @@ def gradient_sites(ast: KernelAst) -> list[tuple[int, int]]:
     """Hyper sites gradient steps move: leaf hypers except white noise.
 
     White-noise scales enter the covariance only on the diagonal tie
-    pattern, so they stay on MH moves, as do changepoint locations.
+    pattern, so they stay on MH moves. A tree that holds a changepoint
+    has none (`gradient_supported`): all its hypers stay on MH moves.
     """
+    if not gradient_supported(ast):
+        return []
     sites = []
     for node, slot in hyper_sites(ast):
         bundle = ast.nodes[node]
@@ -404,9 +407,7 @@ def _mh_fallback_sites(ast: KernelAst) -> list[tuple[int, int]]:
 def sweep_moves(state: TraceState, cfg: ScheduleConfig) -> TraceState:
     """One sweep on one tree: `cfg.hyper_steps` hyper steps, then structure moves."""
     for _ in range(cfg.hyper_steps):
-        if cfg.hyper_mode == "mh" or not (
-            gradient_supported(state.ast) and gradient_sites(state.ast)
-        ):
+        if cfg.hyper_mode == "mh" or not gradient_sites(state.ast):
             mh_hyper_step(state)
             continue
         gradient_step_hypers(state, cfg.step_size)
@@ -437,7 +438,7 @@ def run_chains(
                 step(state)
                 samples.append(record(chain, sweep, state))
         except NumericError as err:
-            raise NumericError(f"{where}: {err}", jitters=err.jitters) from err
+            raise NumericError(f"{where}: {err}") from err
     return samples
 
 
@@ -492,10 +493,11 @@ def run_hyper_inference(
     """
     if method not in ("mh", "gradient"):
         raise ValueError(f"method {method!r} not one of ('mh', 'gradient')")
-    if method == "gradient" and not (
-        gradient_supported(skeleton) and gradient_sites(skeleton)
-    ):
-        raise UnsupportedMoveError("skeleton has no hyper that gradient steps move")
+    if method == "gradient" and not gradient_sites(skeleton):
+        raise UnsupportedMoveError(
+            "has no hyperparameter that gradient steps move "
+            "(white-noise scales stay on MH moves)"
+        )
     steps = replace(
         cfg, sweeps=cfg.sweeps * cfg.hyper_steps, hyper_steps=1,
         structure_steps=0, hyper_mode=method,

@@ -287,9 +287,11 @@ def gap_table(xs, ys) -> tuple[np.ndarray, np.ndarray]:
 def _leaf(bundle: NodeBundle, xs: np.ndarray, ys: np.ndarray, gaps=None):
     """The meaning of each base kernel, written once.
 
-    Returns the leaf's covariance between two input vectors, and a
-    callable giving d cov / d h for each constrained hyper, built on
-    request from the same intermediates.
+    Returns the leaf's covariance between inputs `xs` and `ys`, broadcast
+    against each other, and a callable giving d cov / d h for each
+    constrained hyper, built on request from the same intermediates. The
+    builders pass a column `xs[:, None]` and a vector `ys` for the n x m
+    matrix; two vectors give k(x_i, y_i) pointwise.
 
     SE, PER and WN depend on x and y only through d = |x - y|
     (`_distance_leaf`). With a `gap_table` of the inputs they are
@@ -302,13 +304,13 @@ def _leaf(bundle: NodeBundle, xs: np.ndarray, ys: np.ndarray, gaps=None):
     h = [site.constrained for site in bundle.hypers]
     kind = bundle.kernel
     if kind is BaseKernel.C:
-        shape = (xs.size, ys.size)
+        shape = np.broadcast_shapes(xs.shape, ys.shape)
         return np.full(shape, h[0]), lambda: [np.ones(shape)]
     if kind is BaseKernel.LIN:
-        value = np.outer(xs - h[0], ys - h[0])
-        return value, lambda: [np.add.outer(h[0] - xs, h[0] - ys)]
+        value = (xs - h[0]) * (ys - h[0])
+        return value, lambda: [(h[0] - xs) + (h[0] - ys)]
     if gaps is None:
-        return _distance_leaf(bundle, np.abs(np.subtract.outer(xs, ys)))
+        return _distance_leaf(bundle, np.abs(xs - ys))
     distinct, index = gaps
     value, jacobian = _distance_leaf(bundle, distinct)
     return value.take(index), lambda: [jac.take(index) for jac in jacobian()]
@@ -367,7 +369,7 @@ def _cross(
             loc = bundle.hypers[0].constrained
             sx = _sigmoid((loc - xs) / CP_DECAY)
             sy = _sigmoid((loc - ys) / CP_DECAY)
-            out = np.outer(sx, sy) * left + np.outer(1.0 - sx, 1.0 - sy) * right
+            out = sx * sy * left + (1.0 - sx) * (1.0 - sy) * right
         else:
             raise StructureError(f"unknown operator {op!r}")
     if sink is not None:
@@ -401,7 +403,13 @@ def build_cov_matrix(ast: KernelAst, xs, gaps=None) -> np.ndarray:
     """
     arr = _as_inputs(xs)
     _check_gaps(gaps, arr, arr)
-    return _cross(ast.nodes, 1, arr, arr, gaps)
+    return _cross(ast.nodes, 1, arr[:, None], arr, gaps)
+
+
+def cov_diagonal(ast: KernelAst, xs) -> np.ndarray:
+    """k(x, x) at each input, bit for bit `build_cov_matrix(ast, xs).diagonal()`."""
+    arr = _as_inputs(xs)
+    return _cross(ast.nodes, 1, arr, arr, None)
 
 
 def cross_cov_matrix(ast: KernelAst, xs, ys, gaps=None) -> np.ndarray:
@@ -411,7 +419,7 @@ def cross_cov_matrix(ast: KernelAst, xs, ys, gaps=None) -> np.ndarray:
     """
     xs, ys = _as_inputs(xs), _as_inputs(ys)
     _check_gaps(gaps, xs, ys)
-    return _cross(ast.nodes, 1, xs, ys, gaps)
+    return _cross(ast.nodes, 1, xs[:, None], ys, gaps)
 
 
 def eval_kernel(ast: KernelAst, x: float, y: float) -> float:
@@ -428,7 +436,7 @@ def cov_matrices(ast: KernelAst, xs, gaps=None) -> dict[int, np.ndarray]:
     arr = _as_inputs(xs)
     _check_gaps(gaps, arr, arr)
     sink: dict[int, np.ndarray] = {}
-    _cross(ast.nodes, 1, arr, arr, gaps, sink)
+    _cross(ast.nodes, 1, arr[:, None], arr, gaps, sink)
     return sink
 
 
@@ -441,7 +449,7 @@ def leaf_cov_grads(bundle: NodeBundle, xs: np.ndarray, gaps=None) -> list[np.nda
         raise StructureError("leaf_cov_grads called on a branch node")
     xs = np.asarray(xs, dtype=float)
     _check_gaps(gaps, xs, xs)
-    _, jacobian = _leaf(bundle, xs, xs, gaps)
+    _, jacobian = _leaf(bundle, xs[:, None], xs, gaps)
     return jacobian()
 
 
@@ -462,8 +470,6 @@ def contract_leaf(bundle: NodeBundle, adjoint: np.ndarray, xs, gaps) -> list[flo
 
 # ---------------------------------------------------------------------------
 # Structure labels
-
-_FLATTENABLE = (Operator.SUM, Operator.PRODUCT)
 
 
 def _operands(nodes: Mapping[int, NodeBundle], node: int, op: Operator) -> list[int]:

@@ -3,9 +3,17 @@
 import numpy as np
 import pytest
 
+from covsearch.blas import single_blas_thread
 from covsearch.gp import Dataset
 from covsearch.kernels import build_cov_matrix, from_nested
 from covsearch.prior import PriorConfig, sample_ast
+
+
+@pytest.fixture(scope="session", autouse=True)
+def one_blas_thread():
+    """Run every test at the command line's BLAS thread count (see `blas`)."""
+    with single_blas_thread():
+        yield
 
 
 @pytest.fixture

@@ -934,30 +934,43 @@ def test_installed_command_starts_at_the_module_entry():
     assert callable(getattr(importlib.import_module(module), name))
 
 
+_FIT_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now fails
+from covsearch import cli, gp
+data, lapack, out = sys.argv[1:]
+if lapack == "numpy":
+    gp._LAPACK = None
+sys.exit(cli.main(["fit", "--data", data, "--out", out, "--seed", "5",
+                   "--set", "schedule.hyper_mode=mh", "--set", "schedule.sweeps=4",
+                   "--set", "schedule.hyper_steps=3", "--set", "schedule.structure_steps=3"]))
+"""
+
+
 def test_cli_process_loads_no_scipy(tmp_path):
-    # scipy.linalg costs about 0.3 s of start-up; the command line needs it
-    # only where numpy's OpenBLAS offers no LAPACK to bind.
+    # numpy is the program's one numerical dependency: `fit` runs with
+    # scipy's import blocked, on the bound LAPACK and on numpy's alike.
     data = tmp_path / "series.csv"
-    write_dataset_csv(data, synth_data("lin_plus_per", 12, np.random.default_rng(3)))
-    script = (
-        "import sys\n"
-        "from covsearch import cli, gp\n"
-        f"code = cli.main(['fit', '--data', {str(data)!r}, '--out', {str(tmp_path / 'out')!r},"
-        " '--set', 'schedule.sweeps=2', '--set', 'schedule.hyper_steps=2',"
-        " '--set', 'schedule.structure_steps=2'])\n"
-        "print(code, gp._LAPACK is not None, 'scipy' in sys.modules)\n"
-    )
+    write_dataset_csv(data, synth_data("lin_plus_per", 40, np.random.default_rng(3)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(covsearch.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    code, bound, scipy_loaded = proc.stdout.split()
-    assert code == "0"
-    assert scipy_loaded == ("False" if bound == "True" else "True")
+    outs = []
+    for lapack in ("bound", "numpy"):
+        outs.append(tmp_path / lapack)
+        proc = subprocess.run(
+            [sys.executable, "-c", _FIT_WITHOUT_SCIPY, str(data), lapack, str(outs[-1])],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+    bound, fallback = ((out / "structure_histogram.json").read_bytes() for out in outs)
+    assert bound == fallback
+    rmses = [
+        json.loads((out / "metrics.json").read_text())["holdout"]["gp_average_rmse"]
+        for out in outs
+    ]
+    assert rmses[1] == pytest.approx(rmses[0], rel=1e-9, abs=0.0)
 
 
 def test_cli_exit_codes(tmp_path):
@@ -975,6 +988,7 @@ def test_cli_exit_codes(tmp_path):
         "--set", 'run.compare_structure=["CP", 5.0, ["C", 1.0], ["C", 1.0]]',
         "--set", "run.standardize=false",
     ) == 2
+    assert not out.exists()
     # missing data file
     assert run_cli(
         "fit", "--data", str(tmp_path / "ghost.csv"), "--out", str(out),
@@ -1060,7 +1074,7 @@ def test_cli_numeric_failures_exit_4(tmp_path, monkeypatch):
     from covsearch.errors import NumericError
 
     def explode(*args, **kwargs):
-        raise NumericError("synthetic blowup", jitters=(0.0,))
+        raise NumericError("synthetic blowup")
 
     monkeypatch.setattr(cli, "run_schedule", explode)
     data = tmp_path / "d.csv"

@@ -151,9 +151,8 @@ def test_chol_climbs_ladder_for_singular_psd():
 
 
 def test_chol_gives_up_on_negative_definite():
-    with pytest.raises(NumericError) as info:
+    with pytest.raises(NumericError):
         chol_with_jitter(-np.eye(3))
-    assert info.value.jitters == JITTER_LADDER
 
 
 def test_chol_rejects_non_finite():
@@ -257,13 +256,18 @@ def test_solves_reject_bad_input(solve):
         solve(factor[:, :-1], b)
 
 
-def test_scipy_fallback_gives_the_same_arrays(monkeypatch):
+def test_numpy_fallback_solves_match_scipy(monkeypatch):
+    # Where no OpenBLAS LAPACK can be bound, numpy's solves agree with
+    # scipy's to rounding: the two call different routines.
     factor, rhs = _factor_and_rhs(100, 3)
-    lapack = [(cho_solve(factor, b), solve_lower(factor, b)) for b in rhs]
-    monkeypatch.setattr(gp, "_scipy_linalg", scipy.linalg)
-    for b, (chol, lower) in zip(rhs, lapack):
-        assert np.array_equal(cho_solve(factor, b), chol)
-        assert np.array_equal(solve_lower(factor, b), lower)
+    monkeypatch.setattr(gp, "_LAPACK", None)
+    for b in rhs:
+        for got, want in (
+            (cho_solve(factor, b), scipy.linalg.cho_solve((factor, True), b)),
+            (solve_lower(factor, b), scipy.linalg.solve_triangular(factor, b, lower=True)),
+        ):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("n", [20, 100, 160, 300])
@@ -275,7 +279,7 @@ def test_inverse_matches_a_solve_against_the_identity(n, monkeypatch):
     assert np.array_equal(factor, kept)
     assert np.array_equal(inverse, inverse.T)
     assert np.abs(inverse - want).max() <= 1e-10 * np.abs(want).max()
-    monkeypatch.setattr(gp, "_scipy_linalg", scipy.linalg)
+    monkeypatch.setattr(gp, "_LAPACK", None)
     fallback = gp._inverse_fresh(factor)
     assert np.array_equal(factor, kept)
     assert np.array_equal(fallback, fallback.T)

@@ -430,7 +430,9 @@ def _builds(ast, xs, ys, gaps=None):
 
 def _dense_builds(ast, xs, ys, monkeypatch):
     with monkeypatch.context() as patch:
-        patch.setattr(kernels, "_leaf", lambda b, xs, ys, gaps: _dense_leaf(b, xs, ys))
+        patch.setattr(
+            kernels, "_leaf", lambda b, xs, ys, gaps: _dense_leaf(b, xs.ravel(), ys)
+        )
         return _builds(ast, xs, ys)
 
 
@@ -467,6 +469,20 @@ def test_gap_gather_is_bit_identical_to_full_matrix_formulas(grid, monkeypatch):
             for b in ast.nodes.values()
         )
     assert stationary > 100
+
+
+@pytest.mark.parametrize("grid", sorted(EXACTNESS_GRIDS))
+def test_cov_diagonal_is_the_matrix_diagonal_bit_for_bit(grid):
+    # the predictive's prior variance, built without the n x n matrix
+    xs = np.concatenate(EXACTNESS_GRIDS[grid])
+    table = kernels.gap_table(xs, xs)
+    for ast in random_asts(300, seed=75):
+        diagonal = kernels.cov_diagonal(ast, xs)
+        _same_bytes(
+            [diagonal, diagonal],
+            [build_cov_matrix(ast, xs).diagonal(),
+             build_cov_matrix(ast, xs, gaps=table).diagonal()],
+        )
 
 
 @pytest.mark.parametrize("grid", sorted(EXACTNESS_GRIDS))
