@@ -28,21 +28,16 @@ DEFAULT_CONCENTRATION = 0.5
 def crp_log_prior(assignments, concentration: float = DEFAULT_CONCENTRATION) -> float:
     """Log probability of a partition under the CRP.
 
-    Accepts either a mapping from series index to cluster id or a
-    sequence of cluster ids. The empty partition scores 0.
+    `assignments` maps series index to cluster id. The empty partition
+    scores 0.
     """
     if concentration <= 0.0:
         raise ValueError(f"concentration {concentration} must be positive")
-    values = (
-        list(assignments.values())
-        if isinstance(assignments, Mapping)
-        else list(assignments)
-    )
-    n = len(values)
+    n = len(assignments)
     if n == 0:
         return 0.0
     sizes: dict = {}
-    for cid in values:
+    for cid in assignments.values():
         sizes[cid] = sizes.get(cid, 0) + 1
     total = len(sizes) * math.log(concentration)
     total += sum(math.lgamma(size) for size in sizes.values())

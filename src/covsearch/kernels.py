@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -44,15 +44,14 @@ class Operator(Enum):
     CHANGEPOINT = "CP"
 
 
-# Positivity offsets, one entry per hyperparameter site of each node kind.
-KERNEL_HYPER_OFFSETS = {
+# Positivity offsets, one entry per hyperparameter site of each node
+# kind: a base kernel or an operator.
+HYPER_OFFSETS = {
     BaseKernel.WN: (0.0,),
     BaseKernel.C: (0.0,),
     BaseKernel.LIN: (0.0,),
     BaseKernel.SE: (LENGTHSCALE_OFFSET,),
     BaseKernel.PER: (LENGTHSCALE_OFFSET, LENGTHSCALE_OFFSET),
-}
-OPERATOR_HYPER_OFFSETS = {
     Operator.SUM: (),
     Operator.PRODUCT: (),
     Operator.CHANGEPOINT: (0.0,),
@@ -75,9 +74,17 @@ class HyperSite:
     @classmethod
     def from_unconstrained(cls, t: float, offset: float = 0.0) -> "HyperSite":
         t = float(t)
+        offset = float(offset)
         if not math.isfinite(t):
             raise StructureError(f"non-finite unconstrained hyper {t!r}")
-        return cls(t, softplus(-t) + float(offset), float(offset))
+        h = softplus(-t) + offset
+        # Past t ~ 41.6, softplus(-t) no longer moves an offset of 0.01
+        # in floats; past t ~ 745 it underflows to 0.
+        if h <= offset:
+            raise StructureError(
+                f"unconstrained hyper {t!r} maps onto its offset {offset!r}"
+            )
+        return cls(t, h, offset)
 
     @classmethod
     def from_constrained(cls, h: float, offset: float = 0.0) -> "HyperSite":
@@ -101,18 +108,21 @@ class HyperSite:
 class NodeBundle:
     """Payload of one AST node: either a base kernel or an operator."""
 
-    is_branch: bool
     operator: Operator | None
     kernel: BaseKernel | None
     hypers: tuple[HyperSite, ...]
 
     @classmethod
     def leaf(cls, kernel: BaseKernel, hypers) -> "NodeBundle":
-        return cls(False, None, kernel, tuple(hypers))
+        return cls(None, kernel, tuple(hypers))
 
     @classmethod
     def branch(cls, operator: Operator, hypers=()) -> "NodeBundle":
-        return cls(True, operator, None, tuple(hypers))
+        return cls(operator, None, tuple(hypers))
+
+    @property
+    def is_branch(self) -> bool:
+        return self.operator is not None
 
 
 def node_depth(index: int) -> int:
@@ -120,65 +130,52 @@ def node_depth(index: int) -> int:
     return int(index).bit_length()
 
 
-def _expected_offsets(bundle: NodeBundle) -> tuple[float, ...]:
-    if bundle.is_branch:
-        return OPERATOR_HYPER_OFFSETS[bundle.operator]
-    return KERNEL_HYPER_OFFSETS[bundle.kernel]
-
-
-def _check_site(index: int, slot: int, site: HyperSite, offset: float) -> None:
-    if site.offset != offset:
-        raise StructureError(
-            f"node {index} slot {slot}: offset {site.offset} should be {offset}"
-        )
-    if not math.isfinite(site.constrained) or site.constrained <= site.offset:
-        raise StructureError(
-            f"node {index} slot {slot}: constrained value "
-            f"{site.constrained!r} outside support"
-        )
-
-
-def validate_nodes(nodes: Mapping[int, NodeBundle], root: int = 1) -> None:
-    """Raise StructureError unless `nodes` encodes a well-formed tree.
-
-    With `root` above 1, `nodes` is checked as the subtree under that
-    heap index: every node must descend from it.
-    """
-    if root not in nodes:
+def validate_nodes(nodes: Mapping[int, NodeBundle]) -> None:
+    """Raise StructureError unless `nodes` encodes a well-formed tree."""
+    if 1 not in nodes:
         raise StructureError("tree has no root node")
     for index, bundle in nodes.items():
         if not isinstance(index, int) or index < 1:
             raise StructureError(f"bad node index {index!r}")
-        if index != root and index // 2 not in nodes:
+        if index != 1 and index // 2 not in nodes:
             raise StructureError(f"node {index} is detached from the tree")
-        if index != root and not nodes[index // 2].is_branch:
+        if index != 1 and not nodes[index // 2].is_branch:
             raise StructureError(f"node {index} hangs off a leaf")
+        if (bundle.operator is None) == (bundle.kernel is None):
+            raise StructureError(
+                f"node {index}: needs exactly one of an operator and a kernel"
+            )
         if bundle.is_branch:
-            if bundle.operator is None or bundle.kernel is not None:
-                raise StructureError(f"node {index}: malformed branch bundle")
             if 2 * index not in nodes or 2 * index + 1 not in nodes:
                 raise StructureError(f"branch node {index} is missing a child")
-        else:
-            if bundle.kernel is None or bundle.operator is not None:
-                raise StructureError(f"node {index}: malformed leaf bundle")
-            if 2 * index in nodes or 2 * index + 1 in nodes:
-                raise StructureError(f"leaf node {index} has children")
-        expected = _expected_offsets(bundle)
+        elif 2 * index in nodes or 2 * index + 1 in nodes:
+            raise StructureError(f"leaf node {index} has children")
+        expected = HYPER_OFFSETS[bundle.operator or bundle.kernel]
         if len(bundle.hypers) != len(expected):
             raise StructureError(
                 f"node {index}: expected {len(expected)} hypers, "
                 f"got {len(bundle.hypers)}"
             )
         for slot, (site, offset) in enumerate(zip(bundle.hypers, expected)):
-            _check_site(index, slot, site, offset)
+            if site.offset != offset:
+                raise StructureError(
+                    f"node {index} slot {slot}: offset {site.offset} should be {offset}"
+                )
+            if not math.isfinite(site.constrained) or site.constrained <= site.offset:
+                raise StructureError(
+                    f"node {index} slot {slot}: constrained value "
+                    f"{site.constrained!r} outside support"
+                )
 
 
 @dataclass(frozen=True)
 class KernelAst:
     """An immutable kernel tree, validated when it is constructed.
 
-    The library's own edits (`replace_subtree`, `with_hyper`) check only
-    what they change and build the result through `_trusted`.
+    A tree is checked once, where it enters: here, which `from_nested`
+    and `prior.sample_ast` go through. The library's own edits
+    (`replace_subtree`, `with_hyper`) splice in parts that are valid by
+    construction and build the result through `_trusted`, unchecked.
     """
 
     nodes: Mapping[int, NodeBundle]
@@ -199,39 +196,23 @@ class KernelAst:
         return len(self.nodes)
 
 
-def subtree_indices(nodes: Mapping[int, NodeBundle], root: int) -> Iterator[int]:
-    """Heap indices of the subtree rooted at `root`, depth first."""
-    stack = [root]
-    while stack:
-        index = stack.pop()
-        if index not in nodes:
-            continue
-        yield index
-        if nodes[index].is_branch:
-            stack.append(2 * index + 1)
-            stack.append(2 * index)
-
-
-def subtree_nodes(nodes: Mapping[int, NodeBundle], root: int) -> dict[int, NodeBundle]:
-    return {index: nodes[index] for index in subtree_indices(nodes, root)}
-
-
 def replace_subtree(
     ast: KernelAst, root: int, replacement: Mapping[int, NodeBundle]
 ) -> KernelAst:
     """New tree with the subtree at `root` swapped for `replacement`.
 
-    `replacement` must itself be a valid subtree rooted at `root`; the
-    rest of the tree is valid already and is not checked again.
+    `root` is a node of `ast`, and `replacement` a valid subtree rooted
+    at `root`, as `prior.sample_subtree(cfg, root, rng)` draws one.
+    Neither is checked.
     """
-    if root not in ast.nodes:
-        raise StructureError(f"no node {root} to replace")
-    if root not in replacement:
-        raise StructureError(f"replacement is not rooted at {root}")
-    validate_nodes(replacement, root)
-    kept = dict(ast.nodes)
-    for index in subtree_nodes(ast.nodes, root):
-        del kept[index]
+    # A node lies under `root` when its index, shifted down to `root`'s
+    # depth, is `root`.
+    depth = node_depth(root)
+    kept = {
+        index: bundle
+        for index, bundle in ast.nodes.items()
+        if index >> max(node_depth(index) - depth, 0) != root
+    }
     kept.update(replacement)
     return KernelAst._trusted(kept)
 
@@ -248,16 +229,15 @@ def hyper_sites(ast: KernelAst) -> list[tuple[int, int]]:
 def with_hyper(ast: KernelAst, node: int, slot: int, site: HyperSite) -> KernelAst:
     """New tree with a single hyperparameter site replaced.
 
-    Only the new site is checked: its offset and its support.
+    `site` must carry the slot's offset, as a site drawn or stepped from
+    the old one does; `HyperSite`'s constructors put it in support.
+    Nothing is checked.
     """
     bundle = ast.nodes[node]
     hypers = list(bundle.hypers)
     hypers[slot] = site
-    _check_site(node, slot, site, _expected_offsets(bundle)[slot])
     nodes = dict(ast.nodes)
-    nodes[node] = NodeBundle(
-        bundle.is_branch, bundle.operator, bundle.kernel, tuple(hypers)
-    )
+    nodes[node] = NodeBundle(bundle.operator, bundle.kernel, tuple(hypers))
     return KernelAst._trusted(nodes)
 
 
@@ -536,7 +516,7 @@ def _build_nested(obj, node: int, out: dict[int, NodeBundle]) -> None:
     tag = obj[0]
     if tag in _KERNEL_TAGS:
         kind = _KERNEL_TAGS[tag]
-        offsets = KERNEL_HYPER_OFFSETS[kind]
+        offsets = HYPER_OFFSETS[kind]
         values = obj[1:]
         if len(values) != len(offsets):
             raise StructureError(

@@ -17,8 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .kernels import (
-    KERNEL_HYPER_OFFSETS,
-    OPERATOR_HYPER_OFFSETS,
+    HYPER_OFFSETS,
     BaseKernel,
     HyperSite,
     KernelAst,
@@ -102,17 +101,13 @@ def _sample_into(
     at_cap = node_depth(node) >= cfg.max_depth
     if not at_cap and rng.uniform() < cfg.p_branch:
         op = OPERATOR_ORDER[_pick(rng, cfg.operator_weights)]
-        hypers = tuple(
-            sample_hyper(rng, off) for off in OPERATOR_HYPER_OFFSETS[op]
-        )
+        hypers = tuple(sample_hyper(rng, off) for off in HYPER_OFFSETS[op])
         out[node] = NodeBundle.branch(op, hypers)
         _sample_into(cfg, 2 * node, rng, out)
         _sample_into(cfg, 2 * node + 1, rng, out)
     else:
         kind = KERNEL_ORDER[_pick(rng, cfg.kernel_weights)]
-        hypers = tuple(
-            sample_hyper(rng, off) for off in KERNEL_HYPER_OFFSETS[kind]
-        )
+        hypers = tuple(sample_hyper(rng, off) for off in HYPER_OFFSETS[kind])
         out[node] = NodeBundle.leaf(kind, hypers)
 
 

@@ -524,12 +524,17 @@ def test_gradient_step_is_ascent_for_small_steps():
 def test_gradient_step_keeps_hypers_in_support():
     # a huge step must clamp instead of underflowing onto the offset
     data = Dataset(np.array([0.0, 5.0]), np.array([30.0, -30.0]))
-    state = new_state(leaf("SE", 5.0), data)
-    for _ in range(50):
-        gradient_step_hypers(state, 50.0)
-        site = state.ast.nodes[1].hypers[0]
-        assert site.constrained > site.offset
-        assert -500.0 <= site.unconstrained <= 700.0
+    for ast, step in ((leaf("SE", 5.0), 50.0), (leaf("C", 1.0), 1e4)):
+        state = new_state(ast, data)
+        visited = []
+        for _ in range(50):
+            gradient_step_hypers(state, step)
+            site = state.ast.nodes[1].hypers[0]
+            assert site.constrained > site.offset
+            assert -500.0 <= site.unconstrained <= 700.0
+            visited.append(site.unconstrained)
+    # The offset-0 leaf sat at both clamps: the floor and the 700 ceiling.
+    assert min(visited) == -500.0 and max(visited) == 700.0
 
 
 # ---------------------------------------------------------------------------

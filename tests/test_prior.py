@@ -80,8 +80,9 @@ def test_samples_are_valid_and_depth_capped():
 
 
 def test_internal_edits_keep_trees_valid():
-    # replace_subtree and with_hyper check only what they change; every
-    # tree a chain of such edits reaches must still be whole.
+    # replace_subtree and with_hyper check nothing: what they splice in
+    # is valid by construction, so every tree a chain of such edits
+    # reaches must pass the full check.
     cfg = PriorConfig(p_branch=0.6, max_depth=4)
     gen = np.random.default_rng(17)
     ast = sample_ast(cfg, gen)
