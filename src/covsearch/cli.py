@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -170,7 +171,7 @@ def _run_fit_predict(args, cfg: RunConfig) -> None:
         "n_holdout": len(held),
         "map_structure": map_label,
         "recorded_samples": len(kept),
-        "standardization": None if transform is None else transform.to_dict(),
+        "standardization": None if transform is None else asdict(transform),
     }
     if len(held) > 0:
         avg_h, map_h = everything[1], on_map[1]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -80,28 +81,23 @@ class RunConfig:
         return _STANDARDIZE_DEFAULT[self.task]
 
 
-_BOOL_STRINGS = {
-    "true": True,
-    "yes": True,
-    "on": True,
-    "1": True,
-    "false": False,
-    "no": False,
-    "off": False,
-    "0": False,
-}
-
-
 def _parse_bool(raw: str) -> bool:
     try:
-        return _BOOL_STRINGS[raw.strip().lower()]
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
     except KeyError:
         raise ConfigError(f"cannot read {raw!r} as a boolean") from None
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw.strip()!r} is not a finite number")
+    return value
+
+
 def _parse_weights(raw: str) -> tuple[float, ...]:
     try:
-        return tuple(float(part) for part in raw.split(","))
+        return tuple(_parse_float(part) for part in raw.split(","))
     except ValueError as err:
         raise ConfigError(f"cannot read {raw!r} as weights: {err}") from None
 
@@ -110,7 +106,7 @@ def _parse_weights(raw: str) -> tuple[float, ...]:
 # string in `Field.type`.
 _PARSERS = {
     "int": int,
-    "float": float,
+    "float": _parse_float,
     "str": str,
     "bool | None": _parse_bool,
     "tuple[float, ...]": _parse_weights,

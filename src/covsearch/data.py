@@ -60,14 +60,6 @@ class Standardization:
     def y_spread_back(self, spread: np.ndarray) -> np.ndarray:
         return np.asarray(spread, dtype=float) * self.y_scale
 
-    def to_dict(self) -> dict:
-        return {
-            "x_lo": self.x_lo,
-            "x_hi": self.x_hi,
-            "y_mean": self.y_mean,
-            "y_scale": self.y_scale,
-        }
-
 
 @dataclass(frozen=True)
 class IngestResult:

@@ -254,8 +254,7 @@ def mh_hyper_step(
 def gradient_supported(ast: KernelAst) -> bool:
     """Whether the tree admits gradient moves at all."""
     return not any(
-        bundle.is_branch and bundle.operator is Operator.CHANGEPOINT
-        for bundle in ast.nodes.values()
+        bundle.kind is Operator.CHANGEPOINT for bundle in ast.nodes.values()
     )
 
 
@@ -270,12 +269,9 @@ def gradient_sites(ast: KernelAst) -> list[tuple[int, int]]:
         return []
     sites = []
     for node, slot in hyper_sites(ast):
-        bundle = ast.nodes[node]
-        if bundle.is_branch:
-            continue
-        if bundle.kernel is BaseKernel.WN:
-            continue
-        sites.append((node, slot))
+        kind = ast.nodes[node].kind
+        if isinstance(kind, BaseKernel) and kind is not BaseKernel.WN:
+            sites.append((node, slot))
     return sites
 
 
@@ -305,7 +301,7 @@ def hyper_gradients(state: TraceState) -> dict[tuple[int, int], float]:
         state.refresh()
     nodes = state.ast.nodes
     order = sorted(nodes)
-    products = any(nodes[node].operator is Operator.PRODUCT for node in order)
+    products = any(nodes[node].kind is Operator.PRODUCT for node in order)
     shared: dict[int, tuple[np.ndarray, dict[int, np.ndarray]]] = {}
     for data, factor in zip(state.datasets, state.chols):
         if factor is None:
@@ -323,7 +319,7 @@ def hyper_gradients(state: TraceState) -> dict[tuple[int, int], float]:
                 continue
             parent = adjoints[node]
             left, right = 2 * node, 2 * node + 1
-            if bundle.operator is Operator.SUM:
+            if bundle.kind is Operator.SUM:
                 adjoints[left] = parent
                 adjoints[right] = parent
             else:

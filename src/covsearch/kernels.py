@@ -106,23 +106,15 @@ class HyperSite:
 
 @dataclass(frozen=True)
 class NodeBundle:
-    """Payload of one AST node: either a base kernel or an operator."""
+    """Payload of one AST node: its kind, a base kernel (a leaf) or an
+    operator (a branch), and one hyper site per `HYPER_OFFSETS[kind]`."""
 
-    operator: Operator | None
-    kernel: BaseKernel | None
-    hypers: tuple[HyperSite, ...]
-
-    @classmethod
-    def leaf(cls, kernel: BaseKernel, hypers) -> "NodeBundle":
-        return cls(None, kernel, tuple(hypers))
-
-    @classmethod
-    def branch(cls, operator: Operator, hypers=()) -> "NodeBundle":
-        return cls(operator, None, tuple(hypers))
+    kind: BaseKernel | Operator
+    hypers: tuple[HyperSite, ...] = ()
 
     @property
     def is_branch(self) -> bool:
-        return self.operator is not None
+        return isinstance(self.kind, Operator)
 
 
 def node_depth(index: int) -> int:
@@ -139,18 +131,16 @@ def validate_nodes(nodes: Mapping[int, NodeBundle]) -> None:
             raise StructureError(f"bad node index {index!r}")
         if index != 1 and index // 2 not in nodes:
             raise StructureError(f"node {index} is detached from the tree")
+        if not isinstance(bundle.kind, (BaseKernel, Operator)):
+            raise StructureError(f"node {index}: unknown kind {bundle.kind!r}")
         if index != 1 and not nodes[index // 2].is_branch:
             raise StructureError(f"node {index} hangs off a leaf")
-        if (bundle.operator is None) == (bundle.kernel is None):
-            raise StructureError(
-                f"node {index}: needs exactly one of an operator and a kernel"
-            )
         if bundle.is_branch:
             if 2 * index not in nodes or 2 * index + 1 not in nodes:
                 raise StructureError(f"branch node {index} is missing a child")
         elif 2 * index in nodes or 2 * index + 1 in nodes:
             raise StructureError(f"leaf node {index} has children")
-        expected = HYPER_OFFSETS[bundle.operator or bundle.kernel]
+        expected = HYPER_OFFSETS[bundle.kind]
         if len(bundle.hypers) != len(expected):
             raise StructureError(
                 f"node {index}: expected {len(expected)} hypers, "
@@ -237,7 +227,7 @@ def with_hyper(ast: KernelAst, node: int, slot: int, site: HyperSite) -> KernelA
     hypers = list(bundle.hypers)
     hypers[slot] = site
     nodes = dict(ast.nodes)
-    nodes[node] = NodeBundle(bundle.operator, bundle.kernel, tuple(hypers))
+    nodes[node] = NodeBundle(bundle.kind, tuple(hypers))
     return KernelAst._trusted(nodes)
 
 
@@ -282,7 +272,7 @@ def _leaf(bundle: NodeBundle, xs: np.ndarray, ys: np.ndarray, gaps=None):
     d == 0, so WN's ties are the zero gaps.
     """
     h = [site.constrained for site in bundle.hypers]
-    kind = bundle.kernel
+    kind = bundle.kind
     if kind is BaseKernel.C:
         shape = np.broadcast_shapes(xs.shape, ys.shape)
         return np.full(shape, h[0]), lambda: [np.ones(shape)]
@@ -299,7 +289,7 @@ def _leaf(bundle: NodeBundle, xs: np.ndarray, ys: np.ndarray, gaps=None):
 def _distance_leaf(bundle: NodeBundle, d: np.ndarray):
     """A WN, SE or PER leaf's value and Jacobian callable at the distances `d`."""
     h = [site.constrained for site in bundle.hypers]
-    kind = bundle.kernel
+    kind = bundle.kind
     if kind is BaseKernel.WN:
         ties = (d == 0.0).astype(float)
         return h[0] * ties, lambda: [ties]
@@ -340,7 +330,7 @@ def _cross(
     else:
         left = _cross(nodes, 2 * node, xs, ys, gaps, sink)
         right = _cross(nodes, 2 * node + 1, xs, ys, gaps, sink)
-        op = bundle.operator
+        op = bundle.kind
         if op is Operator.SUM:
             out = left + right
         elif op is Operator.PRODUCT:
@@ -441,7 +431,7 @@ def contract_leaf(bundle: NodeBundle, adjoint: np.ndarray, xs, gaps) -> list[flo
     and the sums are dotted with the Jacobian per gap; LIN and C
     contract the dense matrices of `leaf_cov_grads`.
     """
-    if bundle.kernel in (BaseKernel.SE, BaseKernel.PER):
+    if bundle.kind in (BaseKernel.SE, BaseKernel.PER):
         distinct, index = gaps
         sums = np.bincount(index.ravel(), weights=adjoint.ravel(), minlength=distinct.size)
         return [float(jac @ sums) for jac in _distance_leaf(bundle, distinct)[1]()]
@@ -453,29 +443,27 @@ def contract_leaf(bundle: NodeBundle, adjoint: np.ndarray, xs, gaps) -> list[flo
 
 
 def _operands(nodes: Mapping[int, NodeBundle], node: int, op: Operator) -> list[int]:
-    bundle = nodes[node]
-    if bundle.is_branch and bundle.operator is op:
+    if nodes[node].kind is op:
         return _operands(nodes, 2 * node, op) + _operands(nodes, 2 * node + 1, op)
     return [node]
 
 
 def _render(nodes: Mapping[int, NodeBundle], node: int) -> tuple[str, Operator | None]:
     """Render a node; also report which flattenable operator produced it."""
-    bundle = nodes[node]
-    if not bundle.is_branch:
-        return bundle.kernel.value, None
-    op = bundle.operator
-    if op is Operator.CHANGEPOINT:
+    kind = nodes[node].kind
+    if isinstance(kind, BaseKernel):
+        return kind.value, None
+    if kind is Operator.CHANGEPOINT:
         left, _ = _render(nodes, 2 * node)
         right, _ = _render(nodes, 2 * node + 1)
         return f"CP({left}, {right})", None
     parts = []
-    for operand in _operands(nodes, node, op):
+    for operand in _operands(nodes, node, kind):
         text, inner = _render(nodes, operand)
-        if op is Operator.PRODUCT and inner is Operator.SUM:
+        if kind is Operator.PRODUCT and inner is Operator.SUM:
             text = f"({text})"
         parts.append(text)
-    return f" {op.value} ".join(sorted(parts)), op
+    return f" {kind.value} ".join(sorted(parts)), kind
 
 
 def structure_label(ast: KernelAst) -> str:
@@ -491,60 +479,45 @@ def structure_label(ast: KernelAst) -> str:
 # ---------------------------------------------------------------------------
 # Serialization
 
-_KERNEL_TAGS = {kind.value: kind for kind in BaseKernel}
-_OPERATOR_TAGS = {op.value: op for op in Operator}
+_TAGS = {kind.value: kind for enum in (BaseKernel, Operator) for kind in enum}
 
 
 def to_nested(ast: KernelAst, node: int = 1):
-    """Nested-list form: ["+", l, r], ["*", l, r], ["CP", loc, l, r],
-    or [tag, h0, ...] for leaves. Floats are constrained values."""
+    """Nested-list form of every node: [tag, *hypers, *children], with
+    hypers as constrained values, e.g. ["PER", l, p], ["+", l, r] and
+    ["CP", loc, l, r]."""
     if node not in ast.nodes:
         raise StructureError(f"no node {node} in tree")
     bundle = ast.nodes[node]
-    if not bundle.is_branch:
-        return [bundle.kernel.value] + [site.constrained for site in bundle.hypers]
-    left = to_nested(ast, 2 * node)
-    right = to_nested(ast, 2 * node + 1)
-    if bundle.operator is Operator.CHANGEPOINT:
-        return ["CP", bundle.hypers[0].constrained, left, right]
-    return [bundle.operator.value, left, right]
+    out = [bundle.kind.value] + [site.constrained for site in bundle.hypers]
+    if bundle.is_branch:
+        out += [to_nested(ast, 2 * node), to_nested(ast, 2 * node + 1)]
+    return out
 
 
 def _build_nested(obj, node: int, out: dict[int, NodeBundle]) -> None:
     if not isinstance(obj, (list, tuple)) or not obj:
         raise StructureError(f"expected a non-empty list, got {obj!r}")
     tag = obj[0]
-    if tag in _KERNEL_TAGS:
-        kind = _KERNEL_TAGS[tag]
-        offsets = HYPER_OFFSETS[kind]
-        values = obj[1:]
-        if len(values) != len(offsets):
-            raise StructureError(
-                f"{tag} takes {len(offsets)} hypers, got {len(values)}"
-            )
-        hypers = tuple(
-            HyperSite.from_constrained(_as_float(v), off)
-            for v, off in zip(values, offsets)
+    if not isinstance(tag, str) or tag not in _TAGS:
+        raise StructureError(f"unknown node tag {tag!r}")
+    kind = _TAGS[tag]
+    offsets = HYPER_OFFSETS[kind]
+    arity = 2 if isinstance(kind, Operator) else 0
+    if len(obj) != 1 + len(offsets) + arity:
+        raise StructureError(
+            f"{tag} takes {len(offsets)} hypers and {arity} children, "
+            f"got {len(obj) - 1} entries"
         )
-        out[node] = NodeBundle.leaf(kind, hypers)
-        return
-    if tag in _OPERATOR_TAGS:
-        op = _OPERATOR_TAGS[tag]
-        if op is Operator.CHANGEPOINT:
-            if len(obj) != 4:
-                raise StructureError("CP takes a location and two children")
-            loc = HyperSite.from_constrained(_as_float(obj[1]), 0.0)
-            out[node] = NodeBundle.branch(op, (loc,))
-            children = obj[2:]
-        else:
-            if len(obj) != 3:
-                raise StructureError(f"{tag!r} takes exactly two children")
-            out[node] = NodeBundle.branch(op)
-            children = obj[1:]
-        _build_nested(children[0], 2 * node, out)
-        _build_nested(children[1], 2 * node + 1, out)
-        return
-    raise StructureError(f"unknown node tag {tag!r}")
+    out[node] = NodeBundle(
+        kind,
+        tuple(
+            HyperSite.from_constrained(_as_float(v), off)
+            for v, off in zip(obj[1:], offsets)
+        ),
+    )
+    for i, child in enumerate(obj[1 + len(offsets) :]):
+        _build_nested(child, 2 * node + i, out)
 
 
 def _as_float(value) -> float:

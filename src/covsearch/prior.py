@@ -100,15 +100,14 @@ def _sample_into(
 ) -> None:
     at_cap = node_depth(node) >= cfg.max_depth
     if not at_cap and rng.uniform() < cfg.p_branch:
-        op = OPERATOR_ORDER[_pick(rng, cfg.operator_weights)]
-        hypers = tuple(sample_hyper(rng, off) for off in HYPER_OFFSETS[op])
-        out[node] = NodeBundle.branch(op, hypers)
-        _sample_into(cfg, 2 * node, rng, out)
-        _sample_into(cfg, 2 * node + 1, rng, out)
+        kind = OPERATOR_ORDER[_pick(rng, cfg.operator_weights)]
     else:
         kind = KERNEL_ORDER[_pick(rng, cfg.kernel_weights)]
-        hypers = tuple(sample_hyper(rng, off) for off in HYPER_OFFSETS[kind])
-        out[node] = NodeBundle.leaf(kind, hypers)
+    hypers = tuple(sample_hyper(rng, off) for off in HYPER_OFFSETS[kind])
+    out[node] = NodeBundle(kind, hypers)
+    if out[node].is_branch:
+        _sample_into(cfg, 2 * node, rng, out)
+        _sample_into(cfg, 2 * node + 1, rng, out)
 
 
 def sample_subtree(
@@ -158,13 +157,13 @@ def subtree_log_prior(
         if at_cap:
             return -math.inf
         total += _log(cfg.p_branch)
-        total += _log(cfg.operator_weights[OPERATOR_ORDER.index(bundle.operator)])
+        total += _log(cfg.operator_weights[OPERATOR_ORDER.index(bundle.kind)])
         total += subtree_log_prior(cfg, nodes, 2 * node)
         total += subtree_log_prior(cfg, nodes, 2 * node + 1)
     else:
         if not at_cap:
             total += _log(1.0 - cfg.p_branch)
-        total += _log(cfg.kernel_weights[KERNEL_ORDER.index(bundle.kernel)])
+        total += _log(cfg.kernel_weights[KERNEL_ORDER.index(bundle.kind)])
     for site in bundle.hypers:
         total += _hyper_log_prior(site)
     return total

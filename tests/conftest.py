@@ -1,9 +1,13 @@
 """Shared helpers for the test suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from covsearch.blas import single_blas_thread
+import covsearch
+from covsearch.blas import THREAD_VARS, single_blas_thread
 from covsearch.gp import Dataset
 from covsearch.kernels import build_cov_matrix, from_nested
 from covsearch.prior import PriorConfig, sample_ast
@@ -48,6 +52,17 @@ def random_asts(count, seed, cfg=None):
     cfg = cfg if cfg is not None else PriorConfig()
     gen = np.random.default_rng(seed)
     return [sample_ast(cfg, gen) for _ in range(count)]
+
+
+def src_env(**extra) -> dict:
+    """This environment without the BLAS thread variables, plus `extra`,
+    with this checkout's package first on `PYTHONPATH`, so that a
+    `python -m covsearch` child runs it whether or not it is installed."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(covsearch.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+    )
+    return {**env, **extra}
 
 
 def set_partitions(items):

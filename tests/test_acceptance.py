@@ -49,7 +49,7 @@ from covsearch.prior import (
 )
 from covsearch.results import mse, rmse
 
-from conftest import set_partitions, tree
+from conftest import set_partitions, src_env, tree
 
 
 def report(capsys, number, ok, detail):
@@ -200,7 +200,7 @@ def test_criterion_04_chain_occupancy_matches_enumeration(capsys):
     counts = {"WN": 0, "C": 0}
     for _ in range(steps):
         mh_structure_step(state)
-        counts[state.ast.nodes[1].kernel.name] += 1
+        counts[state.ast.nodes[1].kind.name] += 1
     tv = 0.5 * sum(abs(counts[k] / steps - target[k]) for k in target)
     elapsed = time.monotonic() - start
     ok = tv <= 0.02 and elapsed < 120
@@ -509,7 +509,7 @@ def test_criterion_10_runs_are_byte_identical(capsys, tmp_path):
     def invoke(*args):
         proc = subprocess.run(
             [sys.executable, "-m", "covsearch", *args],
-            capture_output=True, text=True,
+            env=src_env(), capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         return proc

@@ -34,7 +34,7 @@ from covsearch.kernels import build_cov_matrix, cross_cov_matrix, structure_labe
 from covsearch.prior import PriorConfig
 from covsearch.results import emit_results, fmt_float, mse, render_histogram, rmse
 
-from conftest import toy_data, tree
+from conftest import src_env, toy_data, tree
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +303,12 @@ def test_config_file_and_overrides(tmp_path):
         ("run.noise_var=-1",),
         ("schedule.chains=0",),
         ("prior.p_branch=2",),
+        ("run.noise_var=nan",),
+        ("run.noise_var=inf",),
+        ("schedule.step_size=nan",),
+        ("cluster.concentration=nan",),
+        ("cluster.concentration=inf",),
+        ("prior.kernel_weights=nan,0,0,0,1",),
     ],
 )
 def test_config_rejects_bad_overrides(overrides):
@@ -816,15 +822,6 @@ def test_cli_leaves_blas_threads_to_the_environment(tmp_path, monkeypatch, blas_
     assert seen == [[2] * len(blas_pools)]
 
 
-def _src_env(**extra) -> dict:
-    """This environment without the BLAS thread variables, plus `extra`."""
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(covsearch.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
-    )
-    return {**env, **extra}
-
-
 def test_cli_output_bytes_match_an_explicit_single_blas_thread(tmp_path):
     # At n = 40 OpenBLAS keeps one thread on its own; at 160 points the
     # default thread count changes the predictions' last digits.
@@ -841,7 +838,7 @@ def test_cli_output_bytes_match_an_explicit_single_blas_thread(tmp_path):
                 "--set", "schedule.hyper_steps=6",
                 "--set", "schedule.structure_steps=6",
             ],
-            env=_src_env(**extra), capture_output=True, text=True,
+            env=src_env(**extra), capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(out)
@@ -872,7 +869,7 @@ def test_module_entry_pins_blas_before_numpy_loads(tmp_path, preset):
     extra = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
     proc = subprocess.run(
         [sys.executable, "-c", _RUN_AS_MAIN, str(tmp_path)],
-        env=_src_env(**extra), capture_output=True, text=True,
+        env=src_env(**extra), capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     code, variable, threads = json.loads(proc.stdout)
@@ -888,7 +885,7 @@ def test_running_the_cli_module_points_to_the_package_entry(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "covsearch.cli", "synth-data", "--kind", "periodic",
          "--n", "10", "--out", str(tmp_path)],
-        env=_src_env(), capture_output=True, text=True,
+        env=src_env(), capture_output=True, text=True,
     )
     assert proc.returncode == 2
     assert "python -m covsearch`" in proc.stderr
@@ -905,7 +902,7 @@ def test_package_import_loads_no_numpy_and_keeps_the_environment():
         "print('numpy' in sys.modules, dict(os.environ) == before)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=_src_env(), capture_output=True, text=True
+        [sys.executable, "-c", script], env=src_env(), capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True", "True", "True"]
@@ -987,6 +984,20 @@ def test_cli_exit_codes(tmp_path):
         "compare-inference", "--data", str(data), "--out", str(out),
         "--set", 'run.compare_structure=["CP", 5.0, ["C", 1.0], ["C", 1.0]]',
         "--set", "run.standardize=false",
+    ) == 2
+    assert not out.exists()
+    # a tag that is not a string
+    assert run_cli(
+        "compare-inference", "--data", str(data), "--out", str(out),
+        "--set", 'run.compare_structure=[["PER", 1, 1]]',
+    ) == 2
+    # non-finite settings
+    assert run_cli(
+        "fit", "--data", str(data), "--out", str(out), "--set", "run.noise_var=nan",
+    ) == 2
+    assert run_cli(
+        "cluster", "--data", str(data), "--out", str(out),
+        "--set", "cluster.concentration=inf",
     ) == 2
     assert not out.exists()
     # missing data file

@@ -111,13 +111,13 @@ def test_node_depth():
 
 def test_validate_rejects_missing_root():
     with pytest.raises(StructureError):
-        validate_nodes({2: NodeBundle.leaf(BaseKernel.C, (HyperSite.from_constrained(1.0),))})
+        validate_nodes({2: NodeBundle(BaseKernel.C, (HyperSite.from_constrained(1.0),))})
 
 
 def test_validate_rejects_missing_child():
     nodes = {
-        1: NodeBundle.branch(Operator.SUM),
-        2: NodeBundle.leaf(BaseKernel.C, (HyperSite.from_constrained(1.0),)),
+        1: NodeBundle(Operator.SUM),
+        2: NodeBundle(BaseKernel.C, (HyperSite.from_constrained(1.0),)),
     }
     with pytest.raises(StructureError):
         validate_nodes(nodes)
@@ -125,16 +125,16 @@ def test_validate_rejects_missing_child():
 
 def test_validate_rejects_child_of_leaf():
     nodes = {
-        1: NodeBundle.leaf(BaseKernel.C, (HyperSite.from_constrained(1.0),)),
-        2: NodeBundle.leaf(BaseKernel.C, (HyperSite.from_constrained(1.0),)),
-        3: NodeBundle.leaf(BaseKernel.C, (HyperSite.from_constrained(1.0),)),
+        1: NodeBundle(BaseKernel.C, (HyperSite.from_constrained(1.0),)),
+        2: NodeBundle(BaseKernel.C, (HyperSite.from_constrained(1.0),)),
+        3: NodeBundle(BaseKernel.C, (HyperSite.from_constrained(1.0),)),
     }
     with pytest.raises(StructureError):
         validate_nodes(nodes)
 
 
 def test_validate_rejects_wrong_hyper_count():
-    nodes = {1: NodeBundle.leaf(BaseKernel.SE, ())}
+    nodes = {1: NodeBundle(BaseKernel.SE, ())}
     with pytest.raises(StructureError):
         validate_nodes(nodes)
 
@@ -143,15 +143,15 @@ def test_validate_rejects_wrong_offset():
     # SE wants the lengthscale floor, not a bare positive hyper
     site = HyperSite.from_constrained(1.0, 0.0)
     with pytest.raises(StructureError):
-        validate_nodes({1: NodeBundle.leaf(BaseKernel.SE, (site,))})
+        validate_nodes({1: NodeBundle(BaseKernel.SE, (site,))})
 
 
 def test_ast_validates_on_construction():
-    c = NodeBundle.leaf(BaseKernel.C, (HyperSite.from_constrained(1.0),))
+    c = NodeBundle(BaseKernel.C, (HyperSite.from_constrained(1.0),))
     for bad in (
         {},
-        {1: NodeBundle(Operator.SUM, BaseKernel.C, ()), 2: c, 3: c},  # both kinds
-        {1: NodeBundle(None, None, ())},  # neither kind
+        {1: NodeBundle("+"), 2: c, 3: c},  # a tag, not a kind
+        {1: NodeBundle(None)},  # no kind
     ):
         with pytest.raises(StructureError):
             KernelAst(nodes=bad)
@@ -400,7 +400,7 @@ def test_wn_grad_is_the_tie_pattern():
 def _dense_leaf(bundle, xs, ys):
     """Each leaf formula evaluated on all n x m pairs, as `_leaf` once was."""
     h = [site.constrained for site in bundle.hypers]
-    kind = bundle.kernel
+    kind = bundle.kind
     if kind is BaseKernel.WN:
         ties = np.equal.outer(xs, ys).astype(float)
         return h[0] * ties, lambda: [ties]
@@ -477,7 +477,7 @@ def test_gap_gather_is_bit_identical_to_full_matrix_formulas(grid, monkeypatch):
         _same_bytes(_builds(ast, xs, ys), want)
         _same_bytes(_builds(ast, xs, ys, table), want)
         stationary += any(
-            b.kernel in (BaseKernel.SE, BaseKernel.PER, BaseKernel.WN)
+            b.kind in (BaseKernel.SE, BaseKernel.PER, BaseKernel.WN)
             for b in ast.nodes.values()
         )
     assert stationary > 100
@@ -504,7 +504,7 @@ def test_per_gap_jacobians_gather_to_the_dense_ones_bit_for_bit(grid):
     checked = 0
     for ast in random_asts(300, seed=72):
         for bundle in ast.nodes.values():
-            if bundle.kernel not in (BaseKernel.SE, BaseKernel.PER):
+            if bundle.kind not in (BaseKernel.SE, BaseKernel.PER):
                 continue
             per_gap = kernels._distance_leaf(bundle, table[0])[1]()
             assert all(jac.shape == table[0].shape for jac in per_gap)
@@ -522,7 +522,7 @@ def test_per_gap_jacobians_are_for_se_and_per_only(monkeypatch):
     leaf_cov_grads = kernels.leaf_cov_grads
 
     def counted(bundle, *args):
-        dense.append(bundle.kernel)
+        dense.append(bundle.kind)
         return leaf_cov_grads(bundle, *args)
 
     monkeypatch.setattr(kernels, "leaf_cov_grads", counted)
@@ -552,7 +552,7 @@ def _dense_gradients(state):
             bundle = nodes[node]
             if bundle.is_branch:
                 left, right, parent = 2 * node, 2 * node + 1, adjoints[node]
-                if bundle.operator is Operator.SUM:
+                if bundle.kind is Operator.SUM:
                     adjoints[left] = adjoints[right] = parent
                 else:
                     adjoints[left] = parent * mats[right]
@@ -715,8 +715,7 @@ def test_nested_roundtrip_exact_structure():
         for node in ast.nodes:
             a, b = ast.nodes[node], back.nodes[node]
             assert a.is_branch == b.is_branch
-            assert a.operator == b.operator
-            assert a.kernel == b.kernel
+            assert a.kind == b.kind
             for sa, sb in zip(a.hypers, b.hypers):
                 assert sb.constrained == pytest.approx(sa.constrained, rel=1e-12)
 
@@ -742,6 +741,11 @@ def test_from_nested_rejects_garbage():
         ["CP", 0.0, ["C", 1.0], ["C", 1.0]],  # location must be positive
         42,                          # not a list at all
         [],
+        [["PER", 1, 1]],             # tag not a string
+        ["+", ["PER", 1, 1], [{}]],  # unhashable tag in a child
+        [1.0],                       # number for a tag
+        ["CP", 5.0, ["C", 1.0]],     # missing child
+        ["+", ["C", 1.0], ["C", 1.0], ["C", 1.0]],  # extra child
     ):
         with pytest.raises(StructureError):
             from_nested(bad)

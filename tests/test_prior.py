@@ -115,9 +115,9 @@ def test_zero_weight_kinds_never_sampled():
         ast = sample_ast(cfg, gen)
         for bundle in ast.nodes.values():
             if bundle.is_branch:
-                assert bundle.operator is Operator.SUM
+                assert bundle.kind is Operator.SUM
             else:
-                assert bundle.kernel in (BaseKernel.WN, BaseKernel.C)
+                assert bundle.kind in (BaseKernel.WN, BaseKernel.C)
 
 
 def test_sample_subtree_rooted_anywhere():
